@@ -21,10 +21,19 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.network.message import Message
 
-try:  # networkx is optional; cycle enumeration degrades gracefully
-    import networkx as _nx
-except ImportError:  # pragma: no cover - networkx is installed in CI
-    _nx = None  # type: ignore[assignment]
+
+def _networkx() -> Any:
+    """Import networkx on first use.
+
+    networkx is optional (the ``test`` extra installs it) and costs more
+    to import than the whole simulator, so only the cycle-analysis
+    methods below pay for it.
+    """
+    try:
+        import networkx
+    except ImportError as exc:
+        raise RuntimeError("networkx is not available") from exc
+    return networkx
 
 
 @dataclass
@@ -62,9 +71,7 @@ class WaitGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> Any:
         """The graph as a ``networkx.DiGraph`` (nodes are message ids)."""
-        if _nx is None:  # pragma: no cover - networkx is installed in CI
-            raise RuntimeError("networkx is not available")
-        graph = _nx.DiGraph()
+        graph = _networkx().DiGraph()
         graph.add_nodes_from(self.messages)
         for waiter_id, edges in self.edges.items():
             for edge in edges:
@@ -80,7 +87,7 @@ class WaitGraph:
         """
         graph = self.to_networkx()
         cycles: List[List[int]] = []
-        for cycle in _nx.simple_cycles(graph):
+        for cycle in _networkx().simple_cycles(graph):
             cycles.append(cycle)
             if len(cycles) >= limit:
                 break

@@ -38,7 +38,7 @@ Protocol, exactly as described in the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.detector import DeadlockDetector
 from repro.network.channel import PhysicalChannel, VirtualChannel
@@ -86,8 +86,15 @@ class NewDetectionMechanism(DeadlockDetector):
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Arm every router-output channel's I-flag reset hook."""
+        """Arm every router-output channel's I-flag reset hook.
+
+        Every flag starts at P, so every router's "all inputs are G"
+        summary box (``Router.all_g``) starts cleared.  Only the simple
+        variant's hook ever sets it.
+        """
         super().attach(sim)
+        for router in sim.routers:
+            router.all_g[0] = False
         for pc in sim.channels:
             pc.gp = _P
             if pc.kind is not PortKind.INJECTION:
@@ -104,7 +111,7 @@ class NewDetectionMechanism(DeadlockDetector):
                     # router lookup is worth removing.
                     router = sim.routers[pc.src_node]
                     pc.on_i_reset = self._simple_reset_hook(
-                        tuple(router.input_pcs) + tuple(router.injection_pcs)
+                        tuple(router.header_input_pcs()), router.all_g
                     )
 
     # ------------------------------------------------------------------
@@ -136,7 +143,7 @@ class NewDetectionMechanism(DeadlockDetector):
         if input_pc.occupied_count < len(input_pc.vcs):
             # Some lane of the input channel is still free: this message is
             # not the last arriver and cannot yet produce deadlock.
-            input_pc.gp = _P
+            self._propagate(input_pc)
             return
         t1 = self.t1
         for pc in message.feasible_pcs:
@@ -147,7 +154,7 @@ class NewDetectionMechanism(DeadlockDetector):
                 return
         # Every requested channel is held by an already-blocked message:
         # the current message is not waiting on the root.
-        input_pc.gp = _P
+        self._propagate(input_pc)
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Earliest cycle the G + all-DT predicate can first hold.
@@ -179,13 +186,13 @@ class NewDetectionMechanism(DeadlockDetector):
         """Routing success at an input channel resets its flag to P."""
         input_pc = message.input_pc
         if input_pc is not None:
-            input_pc.gp = _P
+            self._propagate(input_pc)
         if self.selective_promotion:
             self._unregister_waiter(message)
 
     def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
         """Freeing any lane of an input channel resets its flag to P."""
-        vc.pc.gp = _P
+        self._propagate(vc.pc)
 
     def on_message_removed(self, message: Message, cycle: int) -> None:
         """Recovery teardown: drop the worm's waiter registrations."""
@@ -203,14 +210,15 @@ class NewDetectionMechanism(DeadlockDetector):
                 self._promote(input_pc)
 
     def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
+        self, targets: Tuple[PhysicalChannel, ...], all_g: List[bool]
     ) -> Callable[[PhysicalChannel, int], None]:
         """Reset hook for the paper's simple promotion rule.
 
         Changes all P flags in the router that owns the output channel to
-        G.  The target inputs are resolved at attach time and the
-        already-G check is inlined: the hook fires on every flit that
-        clears a set I flag, and most inputs are already G by then.
+        G, then sets the router's summary box ``all_g``: until the next P
+        write into one of ``targets`` clears it, a flit clearing an I
+        flag on any of the router's outputs skips the hook (it would
+        promote nothing) at the cost of one load.
         """
         promote = self._promote
 
@@ -218,8 +226,19 @@ class NewDetectionMechanism(DeadlockDetector):
             for input_pc in targets:
                 if input_pc.gp is not _G:
                     promote(input_pc)
+            all_g[0] = True
 
         return hook
+
+    @staticmethod
+    def _propagate(input_pc: PhysicalChannel) -> None:
+        """Set an input channel's flag to P: the single P-write site.
+
+        Clears the owning router's summary box, so its next I-flag reset
+        runs the promotion hook again.
+        """
+        input_pc.gp = _P
+        input_pc.dst_all_g[0] = False
 
     @staticmethod
     def _promote(input_pc: PhysicalChannel) -> None:

@@ -455,13 +455,15 @@ class BatchObserver(NewDetectionMechanism):
         self._wake_header_waiters(input_pc)
 
     def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
+        self, targets: Tuple[PhysicalChannel, ...], all_g: List[bool]
     ) -> Callable[[PhysicalChannel, int], None]:
         """Reset hook that also fires when only a *cell's* flag is P.
 
         The parent's hook short-circuits on the shared flag already
         being G, which would skip channels where some cell still holds P
-        (suppressed writes diverge the two).
+        (suppressed writes diverge the two).  For the same reason it
+        never sets the router summary box ``all_g``: the shared flags
+        say nothing about the cells' masks, so the hook always runs.
         """
         promote = self._promote
         gp_mask = self._gp_mask

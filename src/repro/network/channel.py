@@ -102,7 +102,11 @@ class PhysicalChannel:
       new detection mechanism (NDM);
     * an optional ``on_i_reset`` callback fired when a flit transmission
       clears an I flag that was set (inactivity exceeded ``i_threshold``),
-      which NDM uses to promote P flags back to G (paper, Fig. 5 situation).
+      which NDM uses to promote P flags back to G (paper, Fig. 5 situation);
+    * two references to per-router "all inputs are G" summary flags:
+      ``src_all_g`` for the router this channel leaves (an I-flag reset
+      here has nothing to promote while it is set) and ``dst_all_g`` for
+      the router this channel enters (every P write here clears it).
     """
 
     __slots__ = (
@@ -121,6 +125,8 @@ class PhysicalChannel:
         "gp",
         "i_threshold",
         "on_i_reset",
+        "src_all_g",
+        "dst_all_g",
         "waiters",
         "route_waiters",
         "header_waiters",
@@ -173,6 +179,13 @@ class PhysicalChannel:
         self.gp = GPState.PROPAGATE
         self.i_threshold: Optional[int] = None
         self.on_i_reset: Optional[Callable[["PhysicalChannel", int], None]] = None
+        # The routers' "all inputs are G" summary boxes (Router.all_g),
+        # installed by the router wiring.  A side with no router (an
+        # injection port's source, an ejection port's sink) keeps this
+        # channel's own box, which nothing ever sets.
+        unwired = [False]
+        self.src_all_g = unwired
+        self.dst_all_g = unwired
         # Input channels whose blocked header waits on this output channel
         # (refcounted); maintained only when the selective G/P promotion
         # variant is active.
@@ -293,9 +306,12 @@ class PhysicalChannel:
         Resets the inactivity monitor; if that transition clears a set
         I flag, the ``on_i_reset`` hook fires *before* the reset so the
         detector observes the transition (the paper's root-relabeling rule).
+        The hook is skipped while the owning router's summary flag says
+        it would promote nothing.
         """
         if (
-            self.i_threshold is not None
+            not self.src_all_g[0]
+            and self.i_threshold is not None
             and self.on_i_reset is not None
             and self.occupied_count > 0
         ):

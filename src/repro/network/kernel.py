@@ -55,9 +55,10 @@ EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
             "wake_box",
         }
     ),
-    # NDM Generate/Propagate flags and the selective-promotion waiter
-    # refcounts that drive them.
-    "gp": frozenset({"gp", "waiters"}),
+    # NDM Generate/Propagate flags, the selective-promotion waiter
+    # refcounts that drive them, and the simple variant's per-router
+    # "all inputs are G" summary boxes.
+    "gp": frozenset({"gp", "waiters", "all_g", "src_all_g", "dst_all_g"}),
     # Channel occupancy: lane ownership, buffered flits, free-lane masks
     # and the inactivity-monitor activation state derived from them.
     "occupancy": frozenset(

@@ -28,6 +28,11 @@ class Router:
         ejection_pcs: router-to-node ports that consume delivered flits.
         busy_network_vcs: currently occupied network-output virtual channels
             (the quantity the injection limitation thresholds against).
+        all_g: one-element summary box, True only while every header
+            input channel (network inputs and injection ports) holds G.
+            Set by the NDM's simple promotion hook, cleared by every P
+            write; the router's channels share it (see
+            ``PhysicalChannel.src_all_g`` / ``dst_all_g``).
     """
 
     __slots__ = (
@@ -38,6 +43,7 @@ class Router:
         "injection_pcs",
         "ejection_pcs",
         "busy_network_vcs",
+        "all_g",
     )
 
     def __init__(self, node: NodeId) -> None:
@@ -48,6 +54,7 @@ class Router:
         self.injection_pcs: List[PhysicalChannel] = []
         self.ejection_pcs: List[PhysicalChannel] = []
         self.busy_network_vcs = 0
+        self.all_g: List[bool] = [False]
 
     # ------------------------------------------------------------------
     # Wiring (called once by the simulator builder)
@@ -55,15 +62,19 @@ class Router:
     def add_output(self, direction: Direction, pc: PhysicalChannel) -> None:
         self.output_pcs[direction] = pc
         self.output_pc_list.append(pc)
+        pc.src_all_g = self.all_g
 
     def add_input(self, pc: PhysicalChannel) -> None:
         self.input_pcs.append(pc)
+        pc.dst_all_g = self.all_g
 
     def add_injection(self, pc: PhysicalChannel) -> None:
         self.injection_pcs.append(pc)
+        pc.dst_all_g = self.all_g
 
     def add_ejection(self, pc: PhysicalChannel) -> None:
         self.ejection_pcs.append(pc)
+        pc.src_all_g = self.all_g
 
     # ------------------------------------------------------------------
     # Allocation bookkeeping

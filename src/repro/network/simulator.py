@@ -77,7 +77,13 @@ from repro.network.message import Message
 from repro.network.rotating import RotatingList
 from repro.network.router import Router
 from repro.network.routing import make_routing_function
-from repro.network.types import DetectionEvent, MessageStatus, NodeId, PortKind
+from repro.network.types import (
+    DetectionEvent,
+    GPState,
+    MessageStatus,
+    NodeId,
+    PortKind,
+)
 from repro.traffic.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -772,7 +778,8 @@ class Simulator:
                     if spans:
                         head = spans[-1]
                         head.flits -= 1
-                        head.pc.last_drain_cycle = cycle
+                        if input_limit:
+                            head.pc.last_drain_cycle = cycle
                     else:
                         m.flits_at_source -= 1
                         m.last_source_flit_cycle = cycle
@@ -804,50 +811,51 @@ class Simulator:
         # per-cycle bandwidth guards: all are pure reads, so the movement
         # outcome is unchanged, and a pair stopped only by a transient
         # guard is recognized as movable-later (not frozen).  The loop
-        # walks adjacent (up, down) pairs with a rolling ``down`` to
-        # avoid indexing each span twice.
-        n = len(spans)
-        if n > 1:
-            down = spans[n - 1]
-            for i in range(n - 2, -1, -1):
-                up = spans[i]
-                if up.flits:
+        # walks adjacent (up, down) pairs with a rolling ``down``.  The
+        # room test admits ejection sinks too (they hold 0 flits and have
+        # capacity >= 1); the sink kind is read only when a flit moves.
+        if len(spans) > 1:
+            pairs = reversed(spans)
+            down = next(pairs)
+            for up in pairs:
+                if up.flits and down.flits < down.capacity:
+                    frozen = False
                     dpc = down.pc
-                    sink = dpc.kind is ejection
-                    if sink or down.flits < down.capacity:
-                        frozen = False
-                        if faults and (
-                            not (dpc.usable_mask >> down.index) & 1
-                            or (up.pc.stuck_mask >> up.index) & 1
-                        ):
-                            pass  # link down or a stuck lane on the hop
-                        elif dpc.last_flit_cycle != cycle:
-                            upc = up.pc
-                            if not input_limit or upc.last_drain_cycle != cycle:
-                                up.flits -= 1
-                                upc.last_drain_cycle = cycle
-                                # PhysicalChannel.record_flit, inlined:
-                                # this is the hottest flit-accounting
-                                # site (every body-flit hop), and the
-                                # call overhead is measurable.
-                                t1 = dpc.i_threshold
-                                hook = dpc.on_i_reset
-                                if (
-                                    t1 is not None
-                                    and hook is not None
-                                    and dpc.occupied_count > 0
-                                ):
-                                    start_ = dpc.last_flit_cycle
-                                    if dpc.active_since > start_:
-                                        start_ = dpc.active_since
-                                    if cycle - start_ - dpc.counter_lag > t1:
-                                        hook(dpc, cycle)
-                                dpc.last_flit_cycle = cycle
-                                dpc.counter_lag = 0
-                                if sink:
-                                    m.flits_delivered += 1
-                                else:
-                                    down.flits += 1
+                    if faults and (
+                        not (dpc.usable_mask >> down.index) & 1
+                        or (up.pc.stuck_mask >> up.index) & 1
+                    ):
+                        pass  # link down or a stuck lane on the hop
+                    elif dpc.last_flit_cycle != cycle and (
+                        not input_limit or up.pc.last_drain_cycle != cycle
+                    ):
+                        up.flits -= 1
+                        if input_limit:
+                            up.pc.last_drain_cycle = cycle
+                        # PhysicalChannel.record_flit, inlined: this is
+                        # the hottest flit-accounting site (every
+                        # body-flit hop).  ``down`` is held by this worm,
+                        # so the channel is occupied, and a hook is only
+                        # ever armed together with its threshold.  A set
+                        # router summary means the hook would promote
+                        # nothing: skip the inactivity arithmetic.
+                        if not dpc.src_all_g[0]:
+                            hook = dpc.on_i_reset
+                            if hook is not None:
+                                start_ = dpc.last_flit_cycle
+                                if dpc.active_since > start_:
+                                    start_ = dpc.active_since
+                                if cycle - start_ - dpc.counter_lag > dpc.i_threshold:  # type: ignore[operator]
+                                    hook(dpc, cycle)
+                        dpc.last_flit_cycle = cycle
+                        if faults:
+                            # Only the fault injector makes the lag
+                            # non-zero.
+                            dpc.counter_lag = 0
+                        if dpc.kind is ejection:
+                            m.flits_delivered += 1
+                        else:
+                            down.flits += 1
                 down = up
 
         # -- source flits into the injection VC -------------------------
@@ -1172,6 +1180,13 @@ class Simulator:
                 )
             if pc.counter_lag < 0:
                 raise AssertionError(f"{pc}: negative counter_lag")
+            if pc.dst_all_g[0] and pc.gp is not GPState.GENERATE:
+                # A stale NDM router summary would skip a promotion the
+                # simple rule owes this input (see repro.core.ndm).
+                raise AssertionError(
+                    f"{pc}: router {pc.dst_node} is marked all-G but this "
+                    f"input's flag is {pc.gp.value}"
+                )
         n_route = sum(1 for m in self.active_messages if m.route_asleep)
         if n_route != self._route_parked_box[0]:
             raise AssertionError(

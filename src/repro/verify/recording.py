@@ -139,9 +139,11 @@ class RecordingNDM(NewDetectionMechanism):
             self._ctx = None
 
     def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
+        self, targets: Tuple[PhysicalChannel, ...], all_g: List[bool]
     ) -> Callable[[PhysicalChannel, int], None]:
-        inner = super()._simple_reset_hook(targets)
+        # The inner hook gets a private summary box: the router's box
+        # stays False, so every I-flag reset reaches the audit below.
+        inner = super()._simple_reset_hook(targets, [False])
 
         def hook(pc: PhysicalChannel, cycle: int) -> None:
             self._check_i_reset(pc, cycle)

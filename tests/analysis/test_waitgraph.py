@@ -1,5 +1,9 @@
 """Tests for the channel wait-for graph."""
 
+import sys
+
+import pytest
+
 from repro.analysis.waitgraph import (
     build_wait_graph,
     describe_deadlock,
@@ -48,6 +52,7 @@ class TestBuildWaitGraph:
 
 class TestCycleAnalysis:
     def test_no_cycle_in_figure2(self):
+        pytest.importorskip("networkx")
         scenario = build_figure2("none")
         scenario.run(4)
         graph = build_wait_graph(scenario.sim.active_messages)
@@ -55,6 +60,7 @@ class TestCycleAnalysis:
         assert graph.knot_members() == set()
 
     def test_cycle_found_in_figure3(self):
+        pytest.importorskip("networkx")
         scenario = build_figure3("none")
         scenario.run(10)
         graph = build_wait_graph(scenario.sim.active_messages)
@@ -70,11 +76,23 @@ class TestCycleAnalysis:
         assert graph.knot_members() == expected
 
     def test_networkx_graph_shape(self):
+        pytest.importorskip("networkx")
         scenario = build_figure3("none")
         scenario.run(10)
         graph = build_wait_graph(scenario.sim.active_messages).to_networkx()
         assert graph.number_of_nodes() == 4
         assert graph.number_of_edges() == 4
+
+    def test_missing_networkx_is_a_clear_error(self, monkeypatch):
+        # A None entry makes ``import networkx`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        scenario = build_figure3("none")
+        scenario.run(10)
+        graph = build_wait_graph(scenario.sim.active_messages)
+        with pytest.raises(RuntimeError, match="networkx is not available"):
+            graph.candidate_cycles()
+        # The fixpoint oracle needs no networkx.
+        assert len(graph.knot_members()) == 4
 
 
 class TestDiagnostics:

@@ -1,5 +1,6 @@
 """Property-based consistency between the wait graph and the fixpoint oracle."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +80,6 @@ class TestWaitGraphProperties:
         knot = graph.knot_members()
         if not knot:
             return
+        networkx = pytest.importorskip("networkx")
         digraph = graph.to_networkx().subgraph(knot)
-        import networkx
-
         assert not networkx.is_directed_acyclic_graph(digraph)

@@ -9,7 +9,11 @@ running the test with ``--update-golden`` semantics: print the new digest
 """
 
 import hashlib
+import json
 
+import pytest
+
+from repro.experiments.spec import base_config
 from repro.network.simulator import Simulator
 from repro.network.tracing import Tracer
 from tests.conftest import small_config
@@ -69,3 +73,83 @@ class TestGoldenRun:
             kinds = sim.tracer.lifecycle(message_id)
             if "deliver" in kinds and "inject" in kinds:
                 assert kinds.index("inject") < kinds.index("deliver")
+
+
+# ----------------------------------------------------------------------
+# Paper-regime golden runs
+# ----------------------------------------------------------------------
+# The run above never detects and never recovers, so it cannot see a
+# change in the NDM hooks or in the flit-movement path the tables spend
+# their time in.  The runs below use the quick Table 2 regime instead:
+# the saturated 8-ary 2-cube, 3 VCs, fully adaptive routing, ``sl``
+# lengths, progressive recovery and NDM Th=8.  Each variant pins the
+# sha256 of the behavioural stats plus the full traced event stream.
+
+#: Variant name -> sha256 of its stats dict and traced event stream.
+PAPER_REGIME_DIGESTS = {
+    "simple": "30c0e21eef665b1fa7f1c3e4d57b4161496ff9faa2a984666f2eb84572684d56",
+    "selective": "62a4c3da93f3632ea1be283c253677e37fdf0e02962ec7d5a2c6ef5a818dd9f6",
+    "crossbar": "fed005c85902ced7261f937766d21a536d5fe8988d5d1504588b462cb70e866c",
+    "faults": "fd242e5340fae1dacd2d765ece0a0d8c4ade05ceb1381887cf836b86548dc311",
+}
+
+#: One link-down and one stuck-lane window on network channels.
+_FAULT_WINDOWS = [
+    {"kind": "link-down", "start": 100, "end": 250, "channel": 5},
+    {"kind": "vc-stuck", "start": 120, "end": 300, "channel": 17, "lane": 1},
+]
+
+
+def paper_regime_config(variant: str):
+    config = base_config(full=False)
+    config.seed = 2024
+    config.traffic.injection_rate = 0.738  # calibrated quick saturation
+    config.traffic.lengths = "sl"
+    config.detector.mechanism = "ndm"
+    config.detector.threshold = 8
+    config.warmup_cycles = 0
+    config.measure_cycles = 1000
+    if variant == "selective":
+        config.detector.selective_promotion = True
+    elif variant == "crossbar":
+        config.crossbar_input_limit = True
+    elif variant == "faults":
+        config.faults = [dict(w) for w in _FAULT_WINDOWS]
+    else:
+        assert variant == "simple", variant
+    return config
+
+
+def paper_regime_run(variant: str) -> Simulator:
+    sim = Simulator(paper_regime_config(variant))
+    sim.tracer = Tracer(capacity=0)
+    sim.run()
+    return sim
+
+
+def paper_regime_digest(sim) -> str:
+    h = hashlib.sha256()
+    h.update(
+        json.dumps(sim.stats.to_dict(include_perf=False), sort_keys=True).encode()
+    )
+    for event in sim.tracer.events:
+        h.update(b"\n")
+        h.update(repr(event).encode())
+    return h.hexdigest()
+
+
+class TestPaperRegimeGolden:
+    @pytest.mark.parametrize("variant", sorted(PAPER_REGIME_DIGESTS))
+    def test_matches_golden_digest(self, variant):
+        sim = paper_regime_run(variant)
+        # The run must exercise detection and recovery, or it pins
+        # nothing the recovery-free run above does not.
+        assert sim.stats.detections > 0
+        assert sim.stats.recoveries > 0
+        sim.check_invariants()
+        digest = paper_regime_digest(sim)
+        assert digest == PAPER_REGIME_DIGESTS[variant], (
+            f"behaviour of the paper-regime {variant!r} run changed; if "
+            f"intentional, update PAPER_REGIME_DIGESTS[{variant!r}] to "
+            f"{digest!r}"
+        )

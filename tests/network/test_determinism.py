@@ -64,6 +64,30 @@ def test_simulator_does_not_import_numpy():
             assert (node.module or "").split(".")[0] != "numpy"
 
 
+def test_simulator_import_does_not_load_networkx():
+    """networkx is optional and costs more to import than the simulator:
+    only the wait-graph cycle analysis may load it, on first use."""
+    src_dir = Path(simulator_module.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src_dir), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "import repro.network.simulator\n"
+        "import repro.analysis\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_generation_identical_without_numpy():
     """The digest must match in a subprocess where numpy cannot import."""
     script = f"""
