@@ -22,18 +22,10 @@ Two artifacts are written:
   committed history records how kernel performance moved over time.
   The newest committed entry doubles as the regression baseline.
 
-Three extra datapoints ride along: the probe-phase overhead (median
+One extra datapoint rides along: the probe-phase overhead (median
 plus its min..max noise band — the band's lower edge, not the median,
 is what gets compared against the 5 % budget, because the median
-routinely dips negative inside noise), the ``batch-campaign`` number —
-the batch SoA backend (``repro.network.batch``) advancing a whole
-detection-threshold ladder on one shared trajectory versus per-cell
-event runs, gated at ``BATCH_TARGET_SPEEDUP`` after an in-bench
-bit-identical digest check of every cell — and the
-``batch-campaign-mixed`` number: the same backend folding a mixed
-mechanism x threshold grid (every shareable detector family at once,
-vectorized movement phase) versus per-cell event runs, gated at
-``MIXED_BATCH_TARGET_SPEEDUP`` under the same digest check.
+routinely dips negative inside noise).
 
 Regression check: when a baseline is available (``--baseline`` or the
 newest comparable entry already in ``BENCH_kernel.json``), each
@@ -44,9 +36,8 @@ exist, comparisons are printed as informational notes and never gate,
 even under ``--strict`` — absolute cycles/s across machines is not a
 regression signal.  The exit code stays zero for same-host baseline
 regressions unless ``--strict`` is given; the structural speedup
-targets (event at least ``TARGET_SPEEDUP`` times scan on the saturated
-regime, batch at least ``BATCH_TARGET_SPEEDUP`` times event on the
-campaign grid) are always enforced.
+target (event at least ``TARGET_SPEEDUP`` times scan on the saturated
+regime) is always enforced.
 
     PYTHONPATH=src python benchmarks/perf_report.py [options] [out-dir]
 
@@ -66,7 +57,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
@@ -74,38 +65,6 @@ from repro.network.simulator import Simulator
 #: The acceptance bar from the event-engine change: at least this factor
 #: between engines on the saturated configuration.
 TARGET_SPEEDUP = 1.5
-
-#: Acceptance bar for the batch backend on the quick campaign grid:
-#: one shared trajectory serving the threshold ladder must beat the
-#: per-cell event runs by at least this factor.
-BATCH_TARGET_SPEEDUP = 5.0
-
-#: Aspirational full-grid target (see EXPERIMENTS.md): non-gating, a
-#: shortfall prints a warning on full (non-quick) runs.
-BATCH_TARGET_SPEEDUP_FULL = 10.0
-
-#: Campaign threshold ladder for the batch benchmark (the paper's
-#: threshold axis, Tables 2-7 run 2..1024).
-BATCH_THRESHOLDS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-BATCH_THRESHOLDS_QUICK = (2, 4, 8, 16, 32, 64, 128, 256)
-
-#: Acceptance bar for the cross-detector campaign grid: one shared
-#: trajectory serving a mixed mechanism x threshold grid must beat the
-#: per-cell event runs by at least this factor (quick and full).
-MIXED_BATCH_TARGET_SPEEDUP = 8.0
-
-#: The mixed campaign grid: every batch-shareable mechanism family over
-#: its natural slice of the threshold axis — the shape of a full
-#: detector-comparison campaign (paper Tables 2-7 sweep mechanisms as
-#: well as thresholds).  40 cells, one shared trajectory.
-MIXED_GRID: Tuple[Tuple[str, int], ...] = tuple(
-    [("ndm", t) for t in BATCH_THRESHOLDS]
-    + [("pdm", t) for t in BATCH_THRESHOLDS]
-    + [("timeout", t) for t in BATCH_THRESHOLDS]
-    + [("source-age", t) for t in (256, 512, 1024, 2048)]
-    + [("injection-stall", t) for t in (128, 256, 512, 1024)]
-    + [("probe", t) for t in (32, 128)]
-)
 
 #: Baseline-comparison tolerance: warn when a regime/engine pair runs
 #: more than this much slower than the recorded baseline.
@@ -385,128 +344,6 @@ def benchmark_probe_overhead(quick: bool) -> Dict[str, Any]:
     }
 
 
-def benchmark_batch_campaign(quick: bool) -> Optional[Dict[str, Any]]:
-    """Batch backend vs per-cell event runs on a campaign threshold grid.
-
-    The grid is the saturated 8x8 regime swept over the paper's
-    threshold axis — the shape of every table campaign.  The event
-    baseline runs one simulation per cell; the batch backend folds the
-    whole ladder onto one shared trajectory
-    (:class:`repro.network.batch.BatchSimulator`).  Before any number is
-    reported, every batch cell's behavioural stats are asserted
-    bit-identical to its event run — the digest gate that lets the
-    backend exist — so a reported speedup is by construction a speedup
-    on *equal* results.  Returns ``None`` when numpy is unavailable.
-    """
-    from repro.network.batch import HAVE_NUMPY, run_batch
-
-    if not HAVE_NUMPY:
-        return None
-    spec = dict(CONFIGS["saturated-ndm-8x8"])
-    thresholds = BATCH_THRESHOLDS_QUICK if quick else BATCH_THRESHOLDS
-    cell_configs = []
-    for threshold in thresholds:
-        config = build_config(spec, "event", quick)
-        config.detector.threshold = threshold
-        cell_configs.append(config)
-    # Warm-up (caches, allocator), discarded.
-    Simulator(cell_configs[len(cell_configs) // 2]).run()
-
-    start = time.perf_counter()
-    event_stats = [Simulator(config).run() for config in cell_configs]
-    event_seconds = time.perf_counter() - start
-
-    batch_config = build_config(spec, "batch", quick)
-    start = time.perf_counter()
-    batch_stats = run_batch(batch_config, list(thresholds))
-    batch_seconds = time.perf_counter() - start
-
-    for threshold, event_run, batch_run in zip(
-        thresholds, event_stats, batch_stats
-    ):
-        if event_run.to_dict(include_perf=False) != batch_run.to_dict(
-            include_perf=False
-        ):
-            raise AssertionError(
-                f"batch cell th={threshold} diverged from its event run; "
-                "the batch backend must be bit-identical (digest gate)"
-            )
-    return {
-        "config": spec,
-        "thresholds": list(thresholds),
-        "cells": len(thresholds),
-        "event_seconds": round(event_seconds, 4),
-        "batch_seconds": round(batch_seconds, 4),
-        "speedup": round(event_seconds / batch_seconds, 3),
-        "digest_match": True,
-        "target": BATCH_TARGET_SPEEDUP,
-        "target_full_grid": BATCH_TARGET_SPEEDUP_FULL,
-    }
-
-
-def benchmark_mixed_campaign(quick: bool) -> Optional[Dict[str, Any]]:
-    """Cross-detector trajectory sharing on the mixed campaign grid.
-
-    The same saturated regime, swept over :data:`MIXED_GRID` — every
-    batch-shareable mechanism family times its threshold slice.  The
-    event baseline runs one simulation per cell; the batch backend
-    folds all 40 cells onto *one* shared trajectory (with the
-    vectorized movement phase when numpy is present, which it is here).
-    As with the threshold-only benchmark, every folded cell is asserted
-    bit-identical to its event run before the ratio is reported.
-    Returns ``None`` when numpy is unavailable.
-    """
-    import dataclasses
-
-    from repro.network.batch import HAVE_NUMPY, run_batch_cells
-    from repro.network.config import DetectorConfig
-
-    if not HAVE_NUMPY:
-        return None
-    spec = dict(CONFIGS["saturated-ndm-8x8"])
-    cells = [
-        DetectorConfig(mechanism=mechanism, threshold=threshold)
-        for mechanism, threshold in MIXED_GRID
-    ]
-    cell_configs = []
-    for cell in cells:
-        config = build_config(spec, "event", quick)
-        config.detector = dataclasses.replace(cell)
-        cell_configs.append(config)
-    # Warm-up (caches, allocator), discarded.
-    Simulator(cell_configs[len(cell_configs) // 2]).run()
-
-    start = time.perf_counter()
-    event_stats = [Simulator(config).run() for config in cell_configs]
-    event_seconds = time.perf_counter() - start
-
-    batch_config = build_config(spec, "batch", quick)
-    start = time.perf_counter()
-    batch_stats = run_batch_cells(batch_config, cells)
-    batch_seconds = time.perf_counter() - start
-
-    for cell, event_run, batch_run in zip(cells, event_stats, batch_stats):
-        if event_run.to_dict(include_perf=False) != batch_run.to_dict(
-            include_perf=False
-        ):
-            raise AssertionError(
-                f"mixed batch cell {cell.mechanism}:{cell.threshold} "
-                "diverged from its event run; the batch backend must be "
-                "bit-identical (digest gate)"
-            )
-    return {
-        "config": spec,
-        "grid": [list(entry) for entry in MIXED_GRID],
-        "cells": len(cells),
-        "mechanisms": sorted({mechanism for mechanism, _ in MIXED_GRID}),
-        "event_seconds": round(event_seconds, 4),
-        "batch_seconds": round(batch_seconds, 4),
-        "speedup": round(event_seconds / batch_seconds, 3),
-        "digest_match": True,
-        "target": MIXED_BATCH_TARGET_SPEEDUP,
-    }
-
-
 def headline_numbers(report: Dict[str, Any]) -> Dict[str, Any]:
     """The per-regime numbers recorded in the trajectory file."""
     out: Dict[str, Any] = {}
@@ -570,8 +407,8 @@ def compare_to_baseline(
         if not base:
             continue
         for engine in ("scan", "event"):
-            # .get on both sides: the batch-campaign entries have
-            # neither key, and hand-edited trajectory files may drop one.
+            # .get on both sides: older entries carry keys with neither
+            # engine, and hand-edited trajectory files may drop one.
             now = numbers.get(engine)
             then = base.get(engine)
             if not now or not then:
@@ -588,16 +425,6 @@ def compare_to_baseline(
                     f"{name}/{engine}: {now:.1f} cycles/s (best "
                     f"{best:.1f}) is {(1 - now / then) * 100:.1f}% below "
                     f"baseline {then:.1f}"
-                )
-    for key in ("batch-campaign", "batch-campaign-mixed"):
-        now_speedup = headline.get(key, {}).get("speedup")
-        then_speedup = base_numbers.get(key, {}).get("speedup")
-        if now_speedup and then_speedup:
-            if now_speedup < then_speedup * (1.0 - REGRESSION_TOLERANCE):
-                warnings.append(
-                    f"{key}: {now_speedup}x speedup is "
-                    f"{(1 - now_speedup / then_speedup) * 100:.1f}% below "
-                    f"baseline {then_speedup}x"
                 )
     return warnings
 
@@ -671,55 +498,11 @@ def main(argv: List[str]) -> int:
             file=sys.stderr,
         )
 
-    print("benchmarking batch campaign backend (threshold grid) ...")
-    batch_campaign = benchmark_batch_campaign(args.quick)
-    report["batch_campaign"] = batch_campaign
-    if batch_campaign is None:
-        print("  numpy unavailable; batch campaign benchmark skipped")
-    else:
-        print(
-            f"  {batch_campaign['cells']} cells: event "
-            f"{batch_campaign['event_seconds']}s vs batch "
-            f"{batch_campaign['batch_seconds']}s -> "
-            f"{batch_campaign['speedup']}x (cell digests identical)"
-        )
-
-    print("benchmarking mixed campaign grid (cross-detector sharing) ...")
-    mixed_campaign = benchmark_mixed_campaign(args.quick)
-    report["mixed_campaign"] = mixed_campaign
-    if mixed_campaign is None:
-        print("  numpy unavailable; mixed campaign benchmark skipped")
-    else:
-        print(
-            f"  {mixed_campaign['cells']} cells over "
-            f"{len(mixed_campaign['mechanisms'])} mechanisms: event "
-            f"{mixed_campaign['event_seconds']}s vs batch "
-            f"{mixed_campaign['batch_seconds']}s -> "
-            f"{mixed_campaign['speedup']}x (cell digests identical)"
-        )
-
     path = out_dir / "BENCH_engines.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {path}")
 
     headline = headline_numbers(report)
-    if batch_campaign is not None:
-        # Own shape on purpose: no "scan"/"event" keys, so the
-        # per-engine baseline loop skips it.
-        headline["batch-campaign"] = {
-            "cells": batch_campaign["cells"],
-            "event_seconds": batch_campaign["event_seconds"],
-            "batch_seconds": batch_campaign["batch_seconds"],
-            "speedup": batch_campaign["speedup"],
-        }
-    if mixed_campaign is not None:
-        headline["batch-campaign-mixed"] = {
-            "cells": mixed_campaign["cells"],
-            "mechanisms": len(mixed_campaign["mechanisms"]),
-            "event_seconds": mixed_campaign["event_seconds"],
-            "batch_seconds": mixed_campaign["batch_seconds"],
-            "speedup": mixed_campaign["speedup"],
-        }
     trajectory_path = REPO_ROOT / "BENCH_kernel.json"
     baseline_path = args.baseline or trajectory_path
     baseline = load_baseline(baseline_path, args.quick)
@@ -780,37 +563,6 @@ def main(argv: List[str]) -> int:
         print(
             f"WARNING: saturated speedup {saturated['speedup']}x below the "
             f"{TARGET_SPEEDUP}x target",
-            file=sys.stderr,
-        )
-        failed = True
-    if batch_campaign is not None:
-        if batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP:
-            print(
-                f"WARNING: batch campaign speedup "
-                f"{batch_campaign['speedup']}x below the "
-                f"{BATCH_TARGET_SPEEDUP}x gate",
-                file=sys.stderr,
-            )
-            failed = True
-        elif (
-            not args.quick
-            and batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP_FULL
-        ):
-            print(
-                f"WARNING: batch campaign speedup "
-                f"{batch_campaign['speedup']}x below the "
-                f"{BATCH_TARGET_SPEEDUP_FULL}x full-grid target "
-                "(non-gating; see EXPERIMENTS.md)",
-                file=sys.stderr,
-            )
-    if (
-        mixed_campaign is not None
-        and mixed_campaign["speedup"] < MIXED_BATCH_TARGET_SPEEDUP
-    ):
-        print(
-            f"WARNING: mixed campaign speedup "
-            f"{mixed_campaign['speedup']}x below the "
-            f"{MIXED_BATCH_TARGET_SPEEDUP}x gate",
             file=sys.stderr,
         )
         failed = True

@@ -10,14 +10,7 @@ through three layers, cheapest first:
    (:class:`~repro.campaign.cache.ResultCache`);
 3. **run** — a live simulation, either in-process (``num_workers=1``,
    the deterministic serial fallback used by tests) or fanned out over a
-   ``ProcessPoolExecutor``.  Cache-miss cells whose configs ask for
-   ``engine="batch"`` and are equal modulo their detector cell —
-   mechanism, threshold, probe caps — are grouped into one
-   shared-trajectory run each (see ``repro.network.batch``) — the
-   results stay bit-identical to per-cell runs while the grid costs one
-   simulation per group.  Grouping is a pure optimization: fold results
-   do not depend on the partition, so ``--resume`` re-grouping after a
-   partial run reproduces the same per-cell records byte for byte.
+   ``ProcessPoolExecutor``.  Every cache-miss cell is one simulation.
 
 Cells run out of order under the pool, but results are keyed, so callers
 reassemble tables in canonical order and the output is bit-identical to
@@ -33,16 +26,15 @@ import os
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.jobs import CellJob, cell_from_dict, cell_to_dict
 from repro.experiments.runner import CellResult, cell_from_stats
 from repro.metrics.stats import SimulationStats
-from repro.network import batch as batch_backend
-from repro.network.config import DetectorConfig, SimulationConfig
+from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 
 ProgressFn = Callable[[int, int], None]
@@ -81,57 +73,6 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "wall_time": time.perf_counter() - start,
         "worker": f"pid{os.getpid()}",
     }
-
-
-def _execute_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point for one batch group (many cells, one run).
-
-    The cells — mixed mechanisms and thresholds — share a single
-    trajectory (see ``repro.network.batch``); the returned stats list
-    aligns with ``payload["keys"]``.  Legacy payloads carrying only
-    ``thresholds`` (pre-mixed-group checkpoints) are still accepted.
-    """
-    start = time.perf_counter()
-    config = SimulationConfig.from_dict(payload["config"])
-    if "detectors" in payload:
-        cells = [
-            DetectorConfig(**cell) for cell in payload["detectors"]
-        ]
-        stats_list = batch_backend.run_batch_cells(config, cells)
-    else:
-        stats_list = batch_backend.run_batch(config, payload["thresholds"])
-    return {
-        "keys": payload["keys"],
-        "stats": [s.to_dict(include_events=False) for s in stats_list],
-        "wall_time": time.perf_counter() - start,
-        "worker": f"pid{os.getpid()}",
-    }
-
-
-def _batch_payload(jobs: Sequence[CellJob]) -> Dict[str, Any]:
-    """Pickle-light dict form of one batch group."""
-    return {
-        "keys": [job.key for job in jobs],
-        # Full per-cell detector configs: groups fold across mechanisms
-        # and probe caps, not just thresholds.
-        "detectors": [asdict(job.config.detector) for job in jobs],
-        # Any member's config works: the group is equal modulo its
-        # detector cell (batch_group_key masks exactly those fields).
-        "config": jobs[0].config.to_dict(),
-    }
-
-
-def _plan_batch_jobs(
-    pending: Sequence[CellJob],
-) -> Tuple[List[List[CellJob]], List[CellJob]]:
-    """Split cache-miss jobs into shareable batch groups and singles."""
-    groups, singles = batch_backend.plan_batches(
-        [job.config for job in pending]
-    )
-    return (
-        [[pending[i] for i in group] for group in groups],
-        [pending[i] for i in singles],
-    )
 
 
 def default_num_workers() -> int:
@@ -227,20 +168,13 @@ def execute_jobs(
                 continue
         pending.append(job)
 
-    # Layer 3: simulate the rest.  Eligible "batch"-engine cells that
-    # differ only in detection threshold share one trajectory per group
-    # (see repro.network.batch); everything else runs per cell.
-    groups, singles = _plan_batch_jobs(pending)
+    # Layer 3: simulate the rest, one run per cell.
     if num_workers == 1:
-        for job in singles:
+        for job in pending:
             result = _execute_payload(job.payload())
             finish(_outcome_from_result(job, result, worker="serial"))
-        for group in groups:
-            result = _execute_batch_payload(_batch_payload(group))
-            for outcome in _outcomes_from_batch(group, result, worker="serial"):
-                finish(outcome)
     elif pending:
-        _run_pool(singles, groups, num_workers, finish)
+        _run_pool(pending, num_workers, finish)
     return outcomes
 
 
@@ -288,65 +222,23 @@ def _outcome_from_result(
     )
 
 
-def _outcomes_from_batch(
-    jobs: Sequence[CellJob],
-    result: Dict[str, Any],
-    worker: Optional[str] = None,
-) -> Iterator[JobOutcome]:
-    """Split one batch-group result into per-cell outcomes.
-
-    The group's wall time is attributed evenly across its cells — the
-    shared trajectory is one indivisible advance, and an even split
-    keeps campaign-level wall-time sums meaningful.
-    """
-    per_cell = result["wall_time"] / max(len(jobs), 1)
-    who = worker if worker is not None else result["worker"]
-    for job, stats_dict in zip(jobs, result["stats"]):
-        stats = SimulationStats.from_dict(stats_dict)
-        yield JobOutcome(
-            job=job,
-            cell=cell_from_stats(stats, job.rate),
-            wall_time=per_cell,
-            worker=who,
-            source="run",
-            engine=stats.engine,
-            phase_time=dict(stats.phase_time),
-        )
-
-
 def _run_pool(
-    singles: Sequence[CellJob],
-    groups: Sequence[Sequence[CellJob]],
+    pending: Sequence[CellJob],
     num_workers: int,
     finish: Callable[[JobOutcome], None],
 ) -> None:
-    """Fan pending work out over a process pool, finishing out-of-order.
-
-    Batch groups are single pool tasks (one shared run each); their
-    per-cell outcomes are finished together when the group completes.
-    """
-    width = min(num_workers, len(singles) + len(groups))
+    """Fan pending cells out over a process pool, finishing out-of-order."""
+    width = min(num_workers, len(pending))
     executor = ProcessPoolExecutor(max_workers=width)
     try:
-        futures: Dict[Any, Optional[CellJob]] = {
+        futures = {
             executor.submit(_execute_payload, job.payload()): job
-            for job in singles
+            for job in pending
         }
-        group_futures: Dict[Any, Sequence[CellJob]] = {
-            executor.submit(_execute_batch_payload, _batch_payload(group)): group
-            for group in groups
-        }
-        futures.update({future: None for future in group_futures})
         not_done = set(futures)
         while not_done:
             finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
             for future in finished:
-                job = futures[future]
-                if job is not None:
-                    finish(_outcome_from_result(job, future.result()))
-                else:
-                    group = group_futures[future]
-                    for outcome in _outcomes_from_batch(group, future.result()):
-                        finish(outcome)
+                finish(_outcome_from_result(futures[future], future.result()))
     finally:
         executor.shutdown(wait=False, cancel_futures=True)

@@ -56,19 +56,6 @@ class DeadlockDetector:
     #: detector the phase is skipped entirely.
     has_probe_phase = False
 
-    #: Whether campaign cells running this mechanism may fold onto one
-    #: shared batch trajectory (see ``repro.network.batch``).  Requires
-    #: the mechanism to be a *pure observer* of the wait state: detection
-    #: must be a function of shared trajectory state (channel counters,
-    #: occupancy, blocking instants) plus detector-private bookkeeping,
-    #: with zero feedback into routing or flit movement.  Mechanisms
-    #: whose hooks maintain per-run shared state that marking would
-    #: perturb (the selective-promotion waiter maps, the ndm-precise
-    #: witness) must leave this False.  The registry's
-    #: :func:`~repro.core.registry.batch_shareable` is the config-level
-    #: gate built on this flag.
-    batch_shareable = False
-
     def __init__(self, threshold: int) -> None:
         if threshold < 1:
             raise ValueError(f"detection threshold must be >= 1, got {threshold}")

@@ -33,12 +33,6 @@ class HybridDetection(NewDetectionMechanism):
 
     name = "hybrid"
 
-    # Not folded onto shared trajectories (despite inheriting the ndm
-    # observer machinery): the two-rule composite would need its own
-    # family ladder in the batch observer, and the fallback backstop is
-    # rarely threshold-swept — run hybrid cells individually.
-    batch_shareable = False
-
     def __init__(
         self,
         threshold: int,

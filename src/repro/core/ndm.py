@@ -64,11 +64,6 @@ class NewDetectionMechanism(DeadlockDetector):
     """
 
     name = "ndm"
-    #: Simple promotion is a pure observer (hooks touch only G/P flags and
-    #: wake bookkeeping); the selective variant keeps per-run waiter maps
-    #: whose contents diverge once any cell marks, so the registry's
-    #: config-level gate excludes ``selective_promotion`` instances.
-    batch_shareable = True
 
     def __init__(
         self, threshold: int, t1: int = 1, selective_promotion: bool = False

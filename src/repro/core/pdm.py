@@ -29,9 +29,6 @@ class PreviousDetectionMechanism(DeadlockDetector):
     """Martínez, López, Duato & Pinkston (ICPP 1997) channel-activity flags."""
 
     name = "pdm"
-    #: Stateless per attempt: detection reads only channel inactivity, so a
-    #: pdm cell can observe a trajectory shared with other mechanisms.
-    batch_shareable = True
 
     def on_blocked_attempt(
         self, message: Message, router: Router, cycle: int, first_attempt: bool

@@ -39,12 +39,6 @@ class ProbeDetection(DeadlockDetector):
 
     name = "probe"
     has_probe_phase = True
-    #: Probes live entirely out-of-band (dedicated phase, no RNG, no
-    #: routing-state writes), so the transport provably never perturbs
-    #: the physical trajectory; the only marking-dependent reads go
-    #: through the :meth:`_marked` seam, which the batch backend narrows
-    #: to one cell's pending bit.
-    batch_shareable = True
 
     def __init__(
         self,
@@ -105,7 +99,7 @@ class ProbeDetection(DeadlockDetector):
             _, _, message, episode = heapq.heappop(heap)
             if (
                 message.status is not in_network
-                or self._marked(message)
+                or message.marked_deadlocked
                 or message.blocked_since != episode
                 or not message.is_blocked()
             ):
@@ -118,15 +112,6 @@ class ProbeDetection(DeadlockDetector):
                 victims.append(deadend)
         self._flush_counters()
         return victims
-
-    def _marked(self, message: Message) -> bool:
-        """Is ``message`` already detected *from this detector's view*?
-
-        Seam for the batch backend: in a shared multi-cell run nothing is
-        globally marked, so the per-cell probe units override this (and
-        its transport twin) to consult the cell's pending bit instead.
-        """
-        return message.marked_deadlocked
 
     def _arm(self, message: Message, launch_cycle: int) -> None:
         blocked_since = message.blocked_since

@@ -73,34 +73,6 @@ def make_detector(config: DetectorConfig) -> DeadlockDetector:
     )
 
 
-def batch_shareable(config: DetectorConfig) -> bool:
-    """True when this detector cell may fold onto a shared batch run.
-
-    The batch backend folds many campaign cells — differing in threshold
-    *and* in detection mechanism — onto a single network trajectory,
-    which is sound only when detection has *zero* feedback into the
-    network.  Each mechanism class declares the observer property via its
-    ``batch_shareable`` attribute; the one config-level carve-out is
-    NDM's selective promotion, whose per-run waiter maps diverge once any
-    cell marks.  The campaign executor additionally requires
-    ``recovery == "none"`` and a fault-free schedule before grouping (see
-    ``repro.network.batch.plan_batches``).
-    """
-    cls = _DETECTOR_CLASSES.get(config.mechanism)
-    if cls is None or not cls.batch_shareable:
-        return False
-    if config.mechanism == NewDetectionMechanism.name and config.selective_promotion:
-        return False
-    return True
-
-
-def batch_shareable_names() -> Tuple[str, ...]:
-    """Mechanism names whose cells the batch backend may fold."""
-    return tuple(
-        name for name, cls in _DETECTOR_CLASSES.items() if cls.batch_shareable
-    )
-
-
 def detector_names() -> Tuple[str, ...]:
     """Mechanism names accepted by :func:`make_detector`."""
     return tuple(_DETECTOR_CLASSES)

@@ -31,8 +31,6 @@ class HeaderBlockedTimeout(DeadlockDetector):
     """Mark a message once its header has been blocked for > threshold."""
 
     name = "timeout"
-    #: Pure function of the blocking instant — trivially shareable.
-    batch_shareable = True
 
     def on_blocked_attempt(
         self, message: Message, router: Router, cycle: int, first_attempt: bool
@@ -58,8 +56,6 @@ class SourceAgeTimeout(DeadlockDetector):
 
     name = "source-age"
     needs_periodic_check = True
-    #: Pure function of the injection instant — trivially shareable.
-    batch_shareable = True
 
     def periodic_check(
         self, active_messages: Iterable[Message], cycle: int
@@ -86,8 +82,6 @@ class InjectionStallTimeout(DeadlockDetector):
 
     name = "injection-stall"
     needs_periodic_check = True
-    #: Pure function of source-queue instants — trivially shareable.
-    batch_shareable = True
 
     def periodic_check(
         self, active_messages: Iterable[Message], cycle: int

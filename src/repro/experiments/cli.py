@@ -99,13 +99,10 @@ def _positive_int(text: str) -> int:
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=("event", "scan", "batch"), default="event",
+        "--engine", choices=("event", "scan"), default="event",
         help="simulation engine: 'event' parks blocked worms between "
              "wakeup events (default), 'scan' re-scans every cycle "
-             "(reference; byte-identical results), 'batch' additionally "
-             "lets campaigns share one run across eligible threshold "
-             "cells (NDM simple promotion, recovery 'none'; requires "
-             "numpy, byte-identical results)",
+             "(reference; byte-identical results)",
     )
 
 

@@ -1,10 +1,11 @@
 """Declared effect contracts for cycle phases and detector hooks.
 
 The *effect domain* — the behavioural attribute names of Message /
-VirtualChannel / PhysicalChannel / Router that the three engines must
-agree on — is declared next to :class:`~repro.network.kernel.CycleKernel`
-(``EFFECT_GROUPS`` / ``PHASE_EFFECTS``), because that file owns the phase
-sequencing the contracts describe.  This module re-exports those tables
+VirtualChannel / PhysicalChannel / Router that the two engines must
+agree on — is declared in :mod:`repro.network.kernel`
+(``EFFECT_GROUPS`` / ``PHASE_EFFECTS``), next to the simulator whose
+:meth:`~repro.network.simulator.Simulator.step` phases the contracts
+describe.  This module re-exports those tables
 and adds the pieces that belong to the lint layer:
 
 * per-hook contracts for the :class:`~repro.core.detector.DeadlockDetector`
@@ -134,16 +135,6 @@ def role_contract(role: str, method: Optional[str]) -> Optional[RoleContract]:
 #: Attributes whose write means "a parked message is being woken":
 #: clearing a sleep flag is the event engine's wake primitive.
 WAKE_WRITE_ATTRS: FrozenSet[str] = frozenset({"route_asleep", "move_asleep"})
-
-#: Attributes writable by an observer sharing the batch trajectory
-#: (EFF003): per-cell detector state is private (outside the domain),
-#: and the only shared state it may maintain is the channel G/P flag
-#: plus the wake surface that promotions must drive.
-SHARED_TRAJECTORY_ALLOWED: FrozenSet[str] = _groups("gp", "park")
-
-#: Marker class attribute anchoring EFF003 (set on BatchObserver and
-#: its per-cell probe units).
-SHARES_TRAJECTORY_ATTR = "shares_trajectory"
 
 
 def classify_wake_obligation(

@@ -1,10 +1,11 @@
-"""Effect rules (EFF001-EFF004, PROTO003) over the dataflow summaries.
+"""Effect rules (EFF001, EFF002, EFF004, PROTO003) over the dataflow summaries.
 
 These rules consume ``module.effect_index`` — the engine-built
 :class:`~repro.lint.effects.EffectIndex` — and check transitive effect
 summaries against the contracts declared in
-:mod:`repro.lint.contracts` (whose phase tables live next to
-``CycleKernel`` in ``repro/network/kernel.py``).
+:mod:`repro.lint.contracts` (whose phase tables, in
+``repro/network/kernel.py``, describe the phases ``Simulator.step``
+runs).
 
 Reporting convention: when the offending write lives in the module being
 linted, the finding lands on the write's own line; when it is only
@@ -17,7 +18,7 @@ finding is definite — unresolved calls contribute no effects (see
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from repro.lint import contracts
 from repro.lint.effects import (
@@ -113,8 +114,9 @@ class PhaseContractRule(_EffectRule):
     )
     hint = (
         "move the write to a phase/hook whose contract covers it, extend "
-        "PHASE_EFFECTS next to CycleKernel (with justification) if the "
-        "contract itself is wrong, or line-waive with a rationale comment"
+        "PHASE_EFFECTS for the Simulator.step phases (with justification) "
+        "if the contract itself is wrong, or line-waive with a rationale "
+        "comment"
     )
     scopes = ("repro.network", "repro.core", "repro.faults")
 
@@ -201,76 +203,6 @@ class WakeCoverageRule(_EffectRule):
                     "unblock a parked waiter, but no event-engine wake "
                     f"is reachable from {label}",
                 )
-
-
-@register_rule
-class SharedTrajectoryRule(_EffectRule):
-    code = "EFF003"
-    summary = (
-        "shared-trajectory batch observers may write only G/P flags and "
-        "the wake surface on shared network objects"
-    )
-    hint = (
-        "keep per-cell results in observer-local SoA state (masks, "
-        "counters, event lists); the shared trajectory must be "
-        "threshold-independent"
-    )
-    scopes = ("repro.network", "repro.core")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        effect_index = _effect_index(module)
-        if effect_index is None:
-            return
-        class_index = _class_index(module)
-        for cls in module.classes:
-            if not self._shares_trajectory(cls, class_index):
-                continue
-            reported: Set[Tuple[str, int, int]] = set()
-            prefix = cls.qualname + "."
-            for qualname in sorted(effect_index.summaries):
-                if not qualname.startswith(prefix):
-                    continue
-                summary = effect_index.summaries[qualname]
-                offending = (
-                    set(summary.trans_writes)
-                    - contracts.SHARED_TRAJECTORY_ALLOWED
-                )
-                for attr in sorted(offending):
-                    origin = summary.trans_writes[attr]
-                    key = (attr, origin[2], origin[3])
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    yield self._contract_finding(
-                        module,
-                        summary,
-                        attr,
-                        f"shared-trajectory observer {cls.name}",
-                    )
-
-    @staticmethod
-    def _shares_trajectory(
-        cls: ClassSummary, index: Dict[str, ClassSummary]
-    ) -> bool:
-        current: Optional[ClassSummary] = cls
-        seen: Set[str] = set()
-        while current is not None and current.qualname not in seen:
-            seen.add(current.qualname)
-            marker = current.class_attrs.get(
-                contracts.SHARES_TRAJECTORY_ATTR
-            )
-            if marker is not None:
-                return marker is True
-            next_cls: Optional[ClassSummary] = None
-            for base in current.bases:
-                resolved = index.get(base) or index.get(
-                    f"{current.module}.{base}"
-                )
-                if resolved is not None and resolved.qualname not in seen:
-                    next_cls = resolved
-                    break
-            current = next_cls
-        return False
 
 
 _MATH_SANITIZERS = frozenset({"floor", "ceil", "trunc", "isqrt", "gcd", "comb"})

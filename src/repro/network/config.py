@@ -127,13 +127,9 @@ class SimulationConfig:
     #: ``"event"`` (default) parks fully blocked messages and frozen worms
     #: between wakeup events — VC releases, inactivity-counter resumes,
     #: G/P promotions, detection deadlines — instead of re-scanning them
-    #: every cycle; ``"scan"`` is the reference per-cycle scan; ``"batch"``
-    #: runs each simulation exactly like "event" and additionally lets the
-    #: campaign executor group many cells that differ only in detection
-    #: threshold into one shared run (``repro.network.batch``).  All
+    #: every cycle; ``"scan"`` is the reference per-cycle scan.  Both
     #: engines produce bit-identical runs (asserted by
-    #: ``tests/network/test_engine_equivalence.py`` and
-    #: ``tests/network/test_batch_engine.py``); "event"/"batch" are much
+    #: ``tests/network/test_engine_equivalence.py``); "event" is much
     #: faster at and beyond saturation.
     engine: str = "event"
     #: Record wall-clock time per simulation phase (``stats.phase_time``)
@@ -199,10 +195,9 @@ class SimulationConfig:
             raise ValueError("probe_max_hops must be >= 1")
         if self.detector.probe_max_outstanding < 1:
             raise ValueError("probe_max_outstanding must be >= 1")
-        if self.engine not in ("event", "scan", "batch"):
+        if self.engine not in ("event", "scan"):
             raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'event', 'scan' "
-                "or 'batch'"
+                f"unknown engine {self.engine!r}; choose 'event' or 'scan'"
             )
         if self.recovery not in (
             "progressive",

@@ -198,16 +198,6 @@ class ProbeTransport:
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def _marked(self, message: Message) -> bool:
-        """Is ``message`` already detected *from this transport's view*?
-
-        Seam mirroring :meth:`repro.core.probe.ProbeDetection._marked`:
-        the batch backend's per-cell transports override it to read the
-        cell's pending bit, since a shared multi-cell run never sets the
-        global ``marked_deadlocked`` flag.
-        """
-        return message.marked_deadlocked
-
     def has_session(self, initiator_id: int) -> bool:
         return initiator_id in self.sessions
 
@@ -265,7 +255,7 @@ class ProbeTransport:
             initiator = session.initiator
             if (
                 initiator.status is not in_network
-                or self._marked(initiator)
+                or initiator.marked_deadlocked
                 or initiator.blocked_since != session.episode
                 or not initiator.is_blocked()
             ):
@@ -297,13 +287,13 @@ class ProbeTransport:
                 victim = probe.victim
                 if (
                     victim.status is not in_network
-                    or self._marked(victim)
+                    or victim.marked_deadlocked
                 ):
                     victim = initiator
                 return victim
             if (
                 x.status is not in_network
-                or self._marked(x)
+                or x.marked_deadlocked
                 or not x.is_blocked()
             ):
                 self.dropped_progress += 1

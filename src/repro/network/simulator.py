@@ -23,8 +23,8 @@ routing retried every cycle for blocked headers, one flit per cycle per
 physical channel (virtual channels time-multiplexed), channel inactivity
 measured from the last flit transmission.
 
-Three engines execute this model (``SimulationConfig.engine``), each a
-cycle kernel from :mod:`repro.network.kernel` sequencing the same phases:
+Two engines execute this model (``SimulationConfig.engine``); both run
+the same phase methods in the same order (:meth:`Simulator.step`):
 
 * ``"scan"`` — the reference: every blocked header re-attempts routing
   and every worm is visited by the movement scan, each cycle.
@@ -36,9 +36,6 @@ cycle kernel from :mod:`repro.network.kernel` sequencing the same phases:
   (re-derived lazily when a flit crossing a feasible channel pushes it
   out); worms with no structurally movable flit likewise park until
   routing grants their header a channel.
-* ``"batch"`` — per-run identical to ``"event"``; additionally eligible
-  for :class:`repro.network.batch.BatchSimulator`, which advances many
-  threshold cells of a campaign grid over one shared trajectory.
 
 Both engines keep the same message lists in the same (rotating) order
 and consume the same RNG stream — failed routing attempts draw nothing —
@@ -54,6 +51,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -72,7 +70,7 @@ from repro.faults.spec import FaultSpec
 from repro.metrics.stats import SimulationStats
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
-from repro.network.kernel import make_kernel
+from repro.network.kernel import PHASE_SEQUENCE
 from repro.network.message import Message
 from repro.network.rotating import RotatingList
 from repro.network.router import Router
@@ -90,9 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.detector import DeadlockDetector
     from repro.network.tracing import Tracer
 
-#: Keys of the per-phase wall-time accumulators in ``stats.phase_time``.
-PHASES = ("checks", "probes", "routing", "movement", "injection", "generation")
-
 
 class Simulator:
     """One simulation instance built from a :class:`SimulationConfig`.
@@ -100,11 +95,10 @@ class Simulator:
     Args:
         config: the fully resolved run description (validated here).
         detector: optional pre-built detection mechanism to use instead
-            of the registry-built one — the batch backend injects a
-            composite observer that evaluates many thresholds against
-            one shared trajectory (see :mod:`repro.network.batch`).
-            The injected detector must be side-effect-free on the
-            network trajectory wherever the registry detector would be.
+            of the registry-built one (the model checker and the
+            profiling harness inject instrumented detectors).  The
+            injected detector must be side-effect-free on the network
+            trajectory wherever the registry detector would be.
     """
 
     def __init__(
@@ -153,20 +147,16 @@ class Simulator:
             engine=config.engine,
         )
         self._phase_time = self.stats.phase_time
-        for name in PHASES:
+        for name in PHASE_SEQUENCE:
             self._phase_time[name] = 0.0
 
-        # Per-phase wall-clock timing is opt-in: the ten perf_counter
+        # Per-phase wall-clock timing is opt-in: the seven perf_counter
         # calls per cycle are measurable on the hot path (see
         # docs/performance.md), so step() skips them unless profiling.
         self._profile = config.profile_phases
-        # The cycle kernel sequences the phases (see repro.network.kernel);
-        # per-run, "batch" behaves exactly like "event" — the batch win is
-        # the shared advance in repro.network.batch.
-        self._kernel = make_kernel(config.engine)
         # Event engine state.  Parking is only sound when the detector has
         # no per-attempt side effects on blocked messages.
-        self._park_enabled = config.engine in ("event", "batch")
+        self._park_enabled = config.engine == "event"
         self._detector_can_sleep = self.detector.can_sleep_blocked
         # Probe-family detectors get a dedicated out-of-band phase between
         # checks and routing; for every other detector the gate stays
@@ -185,17 +175,6 @@ class Simulator:
         #: Count of currently move-parked worms (simulator-internal: the
         #: only wake sites are routing grants and worm teardown).
         self._move_parked = 0
-        #: Movement-phase dispatch.  The kernel advances through this
-        #: seam so the batch backend can swap in the vectorized SoA
-        #: implementation (repro.network.vecmove) for shared runs; every
-        #: other engine keeps the scalar phase below.  Digest-exactness
-        #: of any replacement is part of the batch contract.
-        self._movement_impl: Callable[[int], None] = self._movement_phase
-        #: Write-through for the vectorized phase's asleep mirror: called
-        #: with the message id at every move-wake site (routing grant,
-        #: worm teardown, fault wake) so the numpy bool array never goes
-        #: stale relative to ``move_asleep``.
-        self._move_wake_hook: Optional[Callable[[int], None]] = None
         # Work counters (flushed to stats.engine_counters by run()).
         self._n_route_attempts = 0
         self._n_route_skips = 0
@@ -353,8 +332,45 @@ class Simulator:
         if injector is not None:
             injector.apply(cycle)
 
-        self._kernel.advance(self, cycle)
+        # The phases run in PHASE_SEQUENCE order; the engines differ only
+        # in which work the phases may park.
+        if self._profile:
+            self._step_profiled(cycle)
+        else:
+            self._checks_phase(cycle)
+            if self._probe_phase_on:
+                self._probes_phase(cycle)
+            self._routing_phase(cycle)
+            self._movement_phase(cycle)
+            self._injection_phase(cycle)
+            if self.generation_enabled:
+                self._generation_phase(cycle)
         self.cycle = cycle + 1
+
+    def _step_profiled(self, cycle: int) -> None:
+        """The phases of :meth:`step`, each timed into ``stats.phase_time``."""
+        t0 = perf_counter()
+        self._checks_phase(cycle)
+        t1 = perf_counter()
+        if self._probe_phase_on:
+            self._probes_phase(cycle)
+        t2 = perf_counter()
+        self._routing_phase(cycle)
+        t3 = perf_counter()
+        self._movement_phase(cycle)
+        t4 = perf_counter()
+        self._injection_phase(cycle)
+        t5 = perf_counter()
+        if self.generation_enabled:
+            self._generation_phase(cycle)
+        t6 = perf_counter()
+        pt = self._phase_time
+        pt["checks"] += t1 - t0
+        pt["probes"] += t2 - t1
+        pt["routing"] += t3 - t2
+        pt["movement"] += t4 - t3
+        pt["injection"] += t5 - t4
+        pt["generation"] += t6 - t5
 
     # ------------------------------------------------------------------
     # Phases 1-2: ground truth, recovery-lane completions, source checks
@@ -535,8 +551,6 @@ class Simulator:
             if m.move_asleep:
                 m.move_asleep = False
                 moves += 1
-                if self._move_wake_hook is not None:
-                    self._move_wake_hook(m.id)
         self._move_parked -= moves
 
     def _unregister_parked(self, m: Message) -> None:
@@ -618,8 +632,6 @@ class Simulator:
                 self._unregister_parked(m)
             if m.move_asleep:
                 self._move_parked -= 1
-                if self._move_wake_hook is not None:
-                    self._move_wake_hook(m.id)
             m.reset_routing_state()
             if self.tracer is not None:
                 self.tracer.record(("route", cycle, m.id, node, vc.pc.index))
@@ -965,7 +977,7 @@ class Simulator:
         # stream, drawn in node order *before* any destination/length
         # draws.  Deliberately backend-free: a (config, seed) pair must
         # produce the same run on every host (see
-        # tests/network/test_determinism.py), so no numpy fast path here.
+        # tests/network/test_determinism.py).
         num = self.topology.num_nodes
         rng_random = self.rng.random
         sources = [n for n in range(num) if rng_random() < p]
@@ -1047,8 +1059,6 @@ class Simulator:
         if m.move_asleep:
             m.move_asleep = False
             self._move_parked -= 1
-            if self._move_wake_hook is not None:
-                self._move_wake_hook(m.id)
         vcs = list(m.spans)
         if m.allocated_vc is not None:
             vcs.append(m.allocated_vc)

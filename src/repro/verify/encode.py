@@ -2,9 +2,8 @@
 
 The encoding maps a live simulator onto a nested tuple of small integers
 such that two states with equal encodings behave identically under equal
-future choice vectors.  It mirrors the SoA snapshot fields of
-``repro.network.batch`` (occupancy, flits, G/P flags, inactivity,
-fault masks) but is pure Python — no numpy — and, crucially,
+future choice vectors.  It covers occupancy, flits, G/P flags,
+inactivity and fault masks, and, crucially, it is
 **time-relative**: every absolute timestamp in the simulator is replaced
 by a clamped difference against the current cycle, so steady states
 reached at different absolute cycles collapse onto one canonical state

@@ -7,7 +7,6 @@ from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.executor import execute_jobs
 from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
 from repro.experiments.runner import run_cell
-from repro.network.batch import HAVE_NUMPY
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
@@ -16,14 +15,6 @@ def tiny_jobs(spec=None, base=None):
         spec or tiny_spec(), base or tiny_base(), saturation=1.0
     )
     return jobs
-
-
-def batch_base():
-    """Tiny-grid base that makes every cell batch-shareable."""
-    base = tiny_base()
-    base.engine = "batch"
-    base.recovery = "none"
-    return base
 
 
 class TestDeterminism:
@@ -196,127 +187,3 @@ class TestStoredEntryValidation:
         healed = execute_jobs(jobs[:1], num_workers=1, cache=cache)
         assert healed[jobs[0].key].source == "cache"
         assert healed[jobs[0].key].cell == outcomes[jobs[0].key].cell
-
-
-class TestBatchGrouping:
-    """engine="batch" cells equal modulo threshold share one trajectory."""
-
-    def test_batch_cells_equal_event_cells(self):
-        import repro.campaign.executor as executor_module
-
-        batch_jobs = tiny_jobs(base=batch_base())
-        event_base = batch_base()
-        event_base.engine = "event"
-        event_jobs = tiny_jobs(base=event_base)
-
-        grouped = []
-        original = executor_module._execute_batch_payload
-
-        def spy(payload):
-            grouped.append(sorted(payload["keys"]))
-            return original(payload)
-
-        executor_module._execute_batch_payload = spy
-        try:
-            batched = execute_jobs(batch_jobs, num_workers=1)
-        finally:
-            executor_module._execute_batch_payload = original
-        plain = execute_jobs(event_jobs, num_workers=1)
-
-        if HAVE_NUMPY:
-            # One shared run per load level (the two thresholds fold).
-            assert len(grouped) == 2
-            assert all(len(keys) == 2 for keys in grouped)
-        else:
-            # Numpy-less hosts fall back to per-cell runs; the results
-            # below must still be event-identical.
-            assert grouped == []
-        for b_job, e_job in zip(batch_jobs, event_jobs):
-            assert batched[b_job.key].cell == plain[e_job.key].cell
-
-    def test_batch_pool_matches_serial(self):
-        jobs = tiny_jobs(base=batch_base())
-        serial = execute_jobs(jobs, num_workers=1)
-        pooled = execute_jobs(jobs, num_workers=2)
-        for key in serial:
-            assert serial[key].cell == pooled[key].cell
-
-    def test_batch_results_cached_per_cell(self, tmp_path):
-        jobs = tiny_jobs(base=batch_base())
-        cache = ResultCache(tmp_path)
-        first = execute_jobs(jobs, num_workers=1, cache=cache)
-        assert cache.size() == len(jobs)
-        second = execute_jobs(jobs, num_workers=1, cache=cache)
-        for key in first:
-            assert second[key].source == "cache"
-            assert second[key].cell == first[key].cell
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="batch backend needs numpy")
-    def test_legacy_threshold_payload_still_accepted(self):
-        """Pre-mixed-group payloads (thresholds, no per-cell detector
-        dicts) still execute and produce the same per-cell stats."""
-        import repro.campaign.executor as executor_module
-
-        groups, _ = executor_module._plan_batch_jobs(
-            tiny_jobs(base=batch_base())
-        )
-        payload = executor_module._batch_payload(groups[0])
-        legacy = {
-            "keys": payload["keys"],
-            "config": payload["config"],
-            "thresholds": [d["threshold"] for d in payload["detectors"]],
-        }
-        assert executor_module._execute_batch_payload(legacy)["stats"] == (
-            executor_module._execute_batch_payload(payload)["stats"]
-        )
-
-    def test_resume_mid_group_entries_byte_identical(self, tmp_path):
-        """Grouping is a pure optimization: a ``--resume`` after a
-        partial run re-groups the leftover cells (here a group loses a
-        member and degrades to a single), and the stored records must
-        stay byte-identical to an uninterrupted campaign's."""
-        import json
-
-        import repro.campaign.executor as executor_module
-
-        jobs = tiny_jobs(base=batch_base())
-
-        def cell_bytes(cache):
-            out = {}
-            for job in jobs:
-                payload = cache.get(job.config_hash)
-                out[job.key] = json.dumps(
-                    payload["cell"], sort_keys=True
-                ).encode()
-            return out
-
-        # Uninterrupted baseline: both groups run whole.
-        full_cache = ResultCache(tmp_path / "full")
-        execute_jobs(jobs, num_workers=1, cache=full_cache)
-
-        # Interrupted campaign: one member of the first group finishes,
-        # then the crash; the resume re-plans around it.
-        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
-        part_cache = ResultCache(tmp_path / "part")
-        execute_jobs(jobs[:1], num_workers=1, cache=part_cache,
-                     checkpoint=ck)
-
-        grouped = []
-        original = executor_module._execute_batch_payload
-
-        def spy(payload):
-            grouped.append(sorted(payload["keys"]))
-            return original(payload)
-
-        executor_module._execute_batch_payload = spy
-        try:
-            resumed = execute_jobs(jobs, num_workers=1, cache=part_cache,
-                                   checkpoint=ck, resume=True)
-        finally:
-            executor_module._execute_batch_payload = original
-
-        # The interrupted group really was re-planned: its surviving
-        # member must not be in any batched group this time.
-        assert jobs[0].key not in {k for keys in grouped for k in keys}
-        assert resumed[jobs[0].key].source == "resume"
-        assert cell_bytes(part_cache) == cell_bytes(full_cache)

@@ -10,7 +10,6 @@ hook.  ``Simulator.check_invariants`` asserts the box never lies.
 import pytest
 
 from repro.experiments.spec import base_config
-from repro.network.batch import BatchSimulator
 from repro.network.simulator import Simulator
 from repro.network.types import GPState
 from repro.verify.recording import RecordingNDM
@@ -105,9 +104,3 @@ class TestHooksThatMustNotUseTheSummary:
     def test_recording_ndm_never_sets_summary(self):
         sim = Simulator(saturated_config(), detector=RecordingNDM(8))
         assert step_checking(sim, 300) == 0
-
-    def test_batch_observer_never_sets_summary(self):
-        batch = BatchSimulator(
-            saturated_config(recovery="none"), thresholds=[8, 32]
-        )
-        assert step_checking(batch.sim, 300) == 0

@@ -1,4 +1,4 @@
-"""Offending fixture: botched attempts at the batch backend's waiver.
+"""Offending fixture: botched attempts at a scoped DET004 waiver.
 
 A line waiver only covers its own line (the second import still fires),
 and an exemption is only as good as the exact code it names (the third

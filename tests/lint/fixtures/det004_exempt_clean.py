@@ -1,14 +1,13 @@
-"""Clean fixture: the batch backend's scoped DET004 waiver, done right.
+"""Clean fixture: a scoped DET004 waiver, done right.
 
-Mirrors ``repro.network.batch``: a kernel-package module may import
-numpy only under a *line-scoped* disable naming DET004, with a rationale
-after `` - `` (here, as in batch.py, the EFF003 shared-trajectory rule
-proves the use is integer-SoA-only).  The import is also optional, so
+A kernel-package module may import numpy only under a *line-scoped*
+disable naming DET004, with a rationale after `` - `` saying why the use
+cannot reach the simulated trajectory.  The import is also optional, so
 numpy-less hosts keep working.
 """
 
 try:
-    import numpy as np  # repro-lint: disable=DET004 - integer SoA only; EFF003 enforces this
+    import numpy as np  # repro-lint: disable=DET004 - integer counters only, never fed back into the run
 except ImportError:
     np = None
 

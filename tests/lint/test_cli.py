@@ -79,7 +79,6 @@ def test_rule_catalog_complete_and_documented():
         "DET004",
         "EFF001",
         "EFF002",
-        "EFF003",
         "EFF004",
         "PROTO001",
         "PROTO002",

@@ -35,11 +35,8 @@ BAD_CASES = [
     ("det003_bad.py", "repro.network.det003_bad"),
     ("det004_bad.py", "repro.traffic.det004_bad"),
     ("det004_exempt_bad.py", "repro.network.det004_exempt_bad"),
-    ("det004_vecmove_bad.py", "repro.network.det004_vecmove_bad"),
     ("eff001_bad.py", "repro.network.eff001_bad"),
-    ("eff001_vecmove_bad.py", "repro.network.eff001_vecmove_bad"),
     ("eff002_bad.py", "repro.network.eff002_bad"),
-    ("eff003_bad.py", "repro.network.eff003_bad"),
     ("eff004_bad.py", "repro.network.eff004_bad"),
     ("proto001_bad.py", "repro.core.proto001_bad"),
     ("proto001_probe_bad.py", "repro.core.proto001_probe_bad"),
@@ -53,11 +50,8 @@ CLEAN_CASES = [
     ("det003_clean.py", "repro.network.det003_clean"),
     ("det004_clean.py", "repro.traffic.det004_clean"),
     ("det004_exempt_clean.py", "repro.network.det004_exempt_clean"),
-    ("det004_vecmove_clean.py", "repro.network.det004_vecmove_clean"),
     ("eff001_clean.py", "repro.network.eff001_clean"),
-    ("eff001_vecmove_clean.py", "repro.network.eff001_vecmove_clean"),
     ("eff002_clean.py", "repro.network.eff002_clean"),
-    ("eff003_clean.py", "repro.network.eff003_clean"),
     ("eff004_clean.py", "repro.network.eff004_clean"),
     ("proto001_clean.py", "repro.core.proto001_clean"),
     ("proto001_probe_clean.py", "repro.core.proto001_probe_clean"),

@@ -73,6 +73,7 @@ class TestValidation:
             ("warmup_cycles", -1),
             ("measure_cycles", 0),
             ("recovery", "teleport"),
+            ("engine", "batch"),
         ],
     )
     def test_bad_field_rejected(self, field, value):
@@ -80,6 +81,14 @@ class TestValidation:
         setattr(config, field, value)
         with pytest.raises(ValueError):
             config.validate()
+
+    def test_removed_engine_in_stored_config_fails_loudly(self):
+        # A config dict from an older cache or manifest must not run
+        # under a silently different engine.
+        payload = SimulationConfig().to_dict()
+        payload["engine"] = "batch"
+        with pytest.raises(ValueError, match="'event' or 'scan'"):
+            SimulationConfig.from_dict(payload)
 
     def test_negative_rate_rejected(self):
         config = SimulationConfig()

@@ -64,6 +64,30 @@ def test_simulator_does_not_import_numpy():
             assert (node.module or "").split(".")[0] != "numpy"
 
 
+def test_table_path_does_not_load_numpy():
+    """The campaign and the experiments CLI — the path every table run
+    takes — load no numpy in a fresh interpreter."""
+    src_dir = Path(simulator_module.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src_dir), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "import repro.campaign\n"
+        "import repro.experiments.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_simulator_import_does_not_load_networkx():
     """networkx is optional and costs more to import than the simulator:
     only the wait-graph cycle analysis may load it, on first use."""
