@@ -52,11 +52,9 @@ class CampaignCheckpoint:
         wall_time: float,
         worker: str,
         source: str,
-        engine: str = "",
-        phase_time: Optional[Dict[str, float]] = None,
     ) -> None:
         """Persist one finished cell (flushed immediately)."""
-        record = {
+        self._append({
             "kind": "cell",
             "key": key,
             "config_hash": config_hash,
@@ -64,12 +62,7 @@ class CampaignCheckpoint:
             "wall_time": wall_time,
             "worker": worker,
             "source": source,
-        }
-        if engine:
-            record["engine"] = engine
-        if phase_time:
-            record["phase_time"] = phase_time
-        self._append(record)
+        })
 
     def _append(self, record: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -125,8 +118,6 @@ class CampaignSummary:
     wall_time_max: float = 0.0
     slowest_key: Optional[str] = None
     campaigns_started: int = 0
-    by_engine: Counter[str] = field(default_factory=Counter)
-    phase_time_total: Dict[str, float] = field(default_factory=dict)
 
     @property
     def wall_time_mean(self) -> float:
@@ -134,7 +125,11 @@ class CampaignSummary:
 
 
 def summarize_manifest(path: str) -> CampaignSummary:
-    """Fold a manifest into a :class:`CampaignSummary`."""
+    """Fold a manifest into a :class:`CampaignSummary`.
+
+    Keys it does not read are ignored, such as the ``engine`` and
+    ``phase_time`` that older cell records carry.
+    """
     summary = CampaignSummary()
     for record in CampaignCheckpoint(path).records():
         if record.get("kind") == "campaign":
@@ -152,13 +147,6 @@ def summarize_manifest(path: str) -> CampaignSummary:
         if wall > summary.wall_time_max:
             summary.wall_time_max = wall
             summary.slowest_key = record.get("key")
-        engine = record.get("engine")
-        if engine:
-            summary.by_engine[engine] += 1
-        for phase, seconds in record.get("phase_time", {}).items():
-            summary.phase_time_total[phase] = summary.phase_time_total.get(
-                phase, 0.0
-            ) + float(seconds)
     return summary
 
 
@@ -191,20 +179,4 @@ def render_summary(summary: CampaignSummary) -> str:
         )
         + ")",
     ]
-    if summary.by_engine:
-        lines.append(
-            "cells by engine       : "
-            + ", ".join(
-                f"{engine}={count}"
-                for engine, count in sorted(summary.by_engine.items())
-            )
-        )
-    if summary.phase_time_total:
-        lines.append(
-            "phase wall time       : "
-            + ", ".join(
-                f"{phase}={seconds:.2f}s"
-                for phase, seconds in sorted(summary.phase_time_total.items())
-            )
-        )
     return "\n".join(lines)

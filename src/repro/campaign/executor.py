@@ -26,7 +26,7 @@ import os
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
@@ -52,10 +52,6 @@ class JobOutcome:
     worker: str
     #: ``"run"``, ``"cache"`` or ``"resume"``.
     source: str
-    #: Simulation engine the cell ran under ("" for pre-engine records).
-    engine: str = ""
-    #: Wall seconds per simulator phase (empty for pre-engine records).
-    phase_time: Dict[str, float] = field(default_factory=dict)
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -125,8 +121,6 @@ def execute_jobs(
                     "cell": cell_to_dict(outcome.cell),
                     "wall_time": outcome.wall_time,
                     "worker": outcome.worker,
-                    "engine": outcome.engine,
-                    "phase_time": outcome.phase_time,
                 },
             )
         if record and checkpoint is not None:
@@ -137,8 +131,6 @@ def execute_jobs(
                 wall_time=outcome.wall_time,
                 worker=outcome.worker,
                 source=outcome.source,
-                engine=outcome.engine,
-                phase_time=outcome.phase_time,
             )
         done += 1
         tick()
@@ -181,12 +173,14 @@ def execute_jobs(
 def _outcome_from_stored(
     job: CellJob, payload: Dict[str, Any], worker: str, source: str
 ) -> Optional[JobOutcome]:
-    """Rebuild a stored (manifest/cache) entry, or ``None`` if malformed."""
+    """Rebuild a stored (manifest/cache) entry, or ``None`` if malformed.
+
+    Extra keys (the ``engine`` and ``phase_time`` of older entries) are
+    ignored.
+    """
     try:
         cell = cell_from_dict(payload["cell"])
         wall_time = float(payload.get("wall_time", 0.0))
-        engine = str(payload.get("engine", ""))
-        phase_time = dict(payload.get("phase_time", {}))
     except (KeyError, TypeError, ValueError) as exc:
         warnings.warn(
             f"ignoring malformed {source} entry for {job.key} "
@@ -201,8 +195,6 @@ def _outcome_from_stored(
         wall_time=wall_time,
         worker=worker,
         source=source,
-        engine=engine,
-        phase_time=phase_time,
     )
 
 
@@ -217,8 +209,6 @@ def _outcome_from_result(
         wall_time=result["wall_time"],
         worker=worker if worker is not None else result["worker"],
         source="run",
-        engine=stats.engine,
-        phase_time=dict(stats.phase_time),
     )
 
 

@@ -97,15 +97,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("event", "scan"), default="event",
-        help="simulation engine: 'event' parks blocked worms between "
-             "wakeup events (default), 'scan' re-scans every cycle "
-             "(reference; byte-identical results)",
-    )
-
-
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
@@ -142,7 +133,6 @@ def cmd_table(args: argparse.Namespace) -> int:
             cache=cache,
             checkpoint=checkpoint,
             resume=resume,
-            engine=args.engine,
         )
     finally:
         progress.close()
@@ -170,7 +160,6 @@ def cmd_all(args: argparse.Namespace) -> int:
                 cache=cache,
                 checkpoint=checkpoint,
                 resume=resume,
-                engine=args.engine,
             )
         finally:
             progress.close()
@@ -197,7 +186,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cache=cache,
             checkpoint=checkpoint,
             resume=resume,
-            engine=args.engine,
         )
     finally:
         progress.close()
@@ -232,7 +220,6 @@ def cmd_latency(args: argparse.Namespace) -> int:
     spec = table_spec(2, full=args.full or None)  # NDM, uniform
     config = base_config(args.full or None)
     config.seed = args.seed
-    config.engine = args.engine
     config.routing = args.routing
     if args.routing == "duato-adaptive":
         config.detector.mechanism = "none"
@@ -284,7 +271,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_saturation(args: argparse.Namespace) -> int:
     config = base_config(args.full or None)
-    config.engine = args.engine
     config.warmup_cycles = 500
     config.measure_cycles = 2000
     config.traffic.pattern = args.pattern
@@ -323,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="paper-scale grid (512 nodes, all thresholds)")
         p.add_argument("--seed", type=int, default=7)
         _add_campaign_flags(p)
-        _add_engine_flag(p)
         if name == "table":
             p.add_argument("--out", default=None,
                            help=f"write txt+json under this directory "
@@ -334,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true")
     p.add_argument("--seed", type=int, default=7)
     _add_campaign_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_all)
 
@@ -352,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=pattern_names(), default="uniform")
     p.add_argument("--size", default="s")
     p.add_argument("--full", action="store_true")
-    _add_engine_flag(p)
     p.set_defaults(func=cmd_saturation)
 
     p = sub.add_parser(
@@ -364,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--full", action="store_true")
-    _add_engine_flag(p)
     p.set_defaults(func=cmd_latency)
 
     p = sub.add_parser(

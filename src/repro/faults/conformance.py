@@ -273,7 +273,6 @@ def run_conformance(
                         wall_time=perf_counter() - t0,
                         worker="conformance",
                         source=source,
-                        engine=engine,
                     )
             digests = {cell["digest"] for cell in per_engine.values()}
             match = len(digests) == 1

@@ -129,15 +129,15 @@ class SimulationConfig:
     #: G/P promotions, detection deadlines — instead of re-scanning them
     #: every cycle; ``"scan"`` is the reference per-cycle scan.  Both
     #: engines produce bit-identical runs (asserted by
-    #: ``tests/network/test_engine_equivalence.py``); "event" is much
-    #: faster at and beyond saturation.
+    #: ``tests/network/test_engine_equivalence.py``); "event" pays off
+    #: only where blocked work dominates (docs/simulator.md "Performance").
     engine: str = "event"
     #: Record wall-clock time per simulation phase (``stats.phase_time``)
     #: via two ``perf_counter`` calls per phase per cycle.  Off by default:
     #: the timer calls themselves are measurable on the hot path, so they
-    #: are only taken when profiling is requested (the perf harness and
-    #: ``docs/performance.md`` workflows turn this on).  With the flag off
-    #: ``phase_time`` stays at its zero-initialized values.
+    #: are only taken when profiling is requested (perfbench's traced runs
+    #: and the ``docs/performance.md`` workflows turn this on).  With the
+    #: flag off ``phase_time`` stays at its zero-initialized values.
     profile_phases: bool = False
 
     # --- run control ------------------------------------------------------

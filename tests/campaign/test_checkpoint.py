@@ -1,5 +1,7 @@
 """Tests for the campaign manifest (checkpoint + summary report)."""
 
+import json
+
 from repro.campaign.checkpoint import (
     CampaignCheckpoint,
     render_summary,
@@ -78,15 +80,27 @@ class TestSummary:
                wall=1.5, worker="pid11", source="run")
         record(ck, key="table3/th8/load0/s", config_hash="c" * 64,
                wall=0.0, worker="cache", source="cache")
+        # A record written before the per-cell engine/phase telemetry was
+        # dropped still counts like any other.
+        legacy = {
+            "kind": "cell", "key": "table3/th32/load0/s",
+            "config_hash": "d" * 64, "cell": {"percentage": 1.0},
+            "wall_time": 1.0, "worker": "pid12", "source": "run",
+            "engine": "event",
+            "phase_time": {"checks": 0.0, "movement": 0.0},
+        }
+        with path.open("a") as handle:
+            handle.write(json.dumps(legacy) + "\n")
         summary = summarize_manifest(path)
-        assert summary.total_cells == 3
+        assert summary.total_cells == 4
         assert summary.campaigns_started == 1
-        assert summary.by_source == {"run": 2, "cache": 1}
-        assert summary.by_table == {"table2": 2, "table3": 1}
-        assert summary.wall_time_total == 2.0
+        assert summary.by_source == {"run": 3, "cache": 1}
+        assert summary.by_table == {"table2": 2, "table3": 2}
+        assert summary.wall_time_total == 3.0
         assert summary.wall_time_max == 1.5
         assert summary.slowest_key == "table2/th32/load0/s"
         assert summary.by_worker["pid10"] == 1
+        assert summary.by_worker["pid12"] == 1
 
     def test_render_summary(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -1,7 +1,11 @@
 """Tests for the table-level campaign engine (reassembly + orchestration)."""
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
+from repro.campaign.checkpoint import (
+    CampaignCheckpoint,
+    render_summary,
+    summarize_manifest,
+)
 from repro.campaign.engine import run_campaign, run_table_campaign
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import run_cell
@@ -50,6 +54,14 @@ class TestRunTableCampaign:
         summary = summarize_manifest(tmp_path / "m.jsonl")
         assert summary.campaigns_started == 1
         assert summary.total_cells == spec.cell_count()
+        cells = [r for r in ck.records() if r["kind"] == "cell"]
+        assert len(cells) == spec.cell_count()
+        for cell in cells:
+            assert "engine" not in cell
+            assert "phase_time" not in cell
+        text = render_summary(summary)
+        assert "phase wall time" not in text
+        assert "cells by engine" not in text
 
 
 def _rearrange(coords):

@@ -72,6 +72,13 @@ class TestCacheIntegration:
         warm = ResultCache(tmp_path)
         first = execute_jobs(jobs, num_workers=1, cache=warm)
         assert warm.size() == len(jobs)
+        # An entry written before the per-cell engine/phase telemetry was
+        # dropped still carries both keys; it must be served all the same.
+        legacy = warm.get(jobs[0].config_hash)
+        assert "engine" not in legacy and "phase_time" not in legacy
+        legacy["engine"] = "event"
+        legacy["phase_time"] = {"checks": 0.0, "routing": 0.0}
+        warm.put(jobs[0].config_hash, legacy)
 
         cold = ResultCache(tmp_path)
         second = execute_jobs(jobs, num_workers=1, cache=cold)

@@ -57,7 +57,7 @@ class TestReport:
         cells = [r for r in records if r.get("kind") == "cell"]
         # 1 detector x 2 schedules x 2 engines
         assert len(cells) == 4
-        assert {c["engine"] for c in cells} == {"scan", "event"}
+        assert {c["key"].rsplit("/", 1)[1] for c in cells} == {"scan", "event"}
 
 
 class TestGradedRun:

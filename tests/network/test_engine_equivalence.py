@@ -159,7 +159,13 @@ def test_precise_ndm_never_parks():
 
 
 def test_event_engine_actually_parks():
-    """Guard against the fast path silently degrading to a full scan."""
+    """Guard against the fast path silently degrading to a full scan.
+
+    The work counters are deterministic per configuration, so a second
+    run of the same config must count exactly the same work
+    (docs/performance.md relies on this to tell kernel changes from
+    machine noise).
+    """
     config = _config(
         mechanism="ndm", threshold=16, vcs_per_channel=1, injection_rate=0.6
     )
@@ -168,6 +174,8 @@ def test_event_engine_actually_parks():
     assert stats.engine_counters["route_parked_skips"] > 0
     assert stats.engine_counters["move_parks"] > 0
     assert stats.engine_counters["move_parked_skips"] > 0
+    _, again = _run(config, "event")
+    assert again.engine_counters == stats.engine_counters
 
 
 def test_scan_engine_never_parks():
