@@ -23,10 +23,32 @@ ejection ports consume flits unconditionally (no protocol deadlock).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List, Sequence, Set
 
+from repro.network.channel import VirtualChannel
 from repro.network.message import Message
 from repro.network.types import MessageStatus
+
+
+def allowed_lanes(
+    m: Message, honor_faults: bool = False
+) -> Sequence[VirtualChannel]:
+    """The lanes ``m``'s blocked header may route through, in routing order.
+
+    ``m.feasible_vcs`` when the routing function restricts the lanes (the
+    virtual-channel classes of Duato's protocol), otherwise every lane of
+    every feasible channel.  With ``honor_faults``, lanes that are
+    currently unusable — the bit is clear in
+    ``PhysicalChannel.usable_mask`` — are left out.  The fixpoint below
+    and :func:`repro.network.probes.wait_edges` inline this rule on their
+    hot paths.
+    """
+    lanes = m.feasible_vcs
+    if lanes is None:
+        lanes = tuple(vc for pc in m.feasible_pcs for vc in pc.vcs)
+    if honor_faults:
+        return [vc for vc in lanes if (vc.pc.usable_mask >> vc.index) & 1]
+    return lanes
 
 
 def find_deadlocked(
@@ -110,7 +132,7 @@ def find_deadlocked(
 def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
     """Follow one holder chain from ``message`` (diagnostic helper).
 
-    Picks, at each step, the first occupied feasible VC's holder.  Useful
+    Picks, at each step, the first occupied allowed lane's holder.  Useful
     in tests and examples to show who a blocked message is waiting on.
     Stops at ``limit`` hops, at a non-blocked message, or when a cycle
     closes (the repeated message is included once more as the closing
@@ -120,14 +142,14 @@ def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
     seen = {message.id}
     current = message
     for _ in range(limit):
-        holder = None
-        for pc in current.feasible_pcs:
-            for vc in pc.vcs:
-                if vc.occupant is not None:
-                    holder = vc.occupant
-                    break
-            if holder is not None:
-                break
+        holder = next(
+            (
+                vc.occupant
+                for vc in allowed_lanes(current)
+                if vc.occupant is not None
+            ),
+            None,
+        )
         if holder is None:
             break
         chain.append(holder)

@@ -7,11 +7,13 @@ ablations.  The graph is returned both as plain adjacency dictionaries and,
 when available, as a ``networkx`` digraph for cycle enumeration.
 
 Semantics (OR-wait model): there is an edge ``m -> holder`` for every
-occupied virtual channel ``m``'s blocked header may use.  A set of blocked
-messages is deadlocked iff it forms a *knot* under OR-semantics — every
-message's every alternative leads back into the set — which is what the
-fixpoint computes; simple cycles found here are necessary-but-not-
-sufficient evidence and therefore reported as *candidates*.
+occupied virtual channel ``m``'s blocked header may use — the lanes of
+:func:`repro.analysis.deadlock.allowed_lanes`, the same ones the oracle
+and the probe transport walk.  A set of blocked messages is deadlocked
+iff it forms a *knot* under OR-semantics — every message's every
+alternative leads back into the set — which is what the fixpoint
+computes; simple cycles found here are necessary-but-not-sufficient
+evidence and therefore reported as *candidates*.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set
 
+from repro.analysis.deadlock import allowed_lanes, find_deadlocked
 from repro.network.message import Message
 
 
@@ -95,8 +98,6 @@ class WaitGraph:
 
     def knot_members(self, honor_faults: bool = False) -> Set[int]:
         """Message ids with no escape path (matches the fixpoint oracle)."""
-        from repro.analysis.deadlock import find_deadlocked
-
         return {
             m.id
             for m in find_deadlocked(
@@ -121,22 +122,18 @@ def build_wait_graph(
     for m in blocked:
         edges: List[WaitEdge] = []
         free = 0
-        for pc in m.feasible_pcs:
-            usable = pc.usable_mask if honor_faults else -1
-            for vc in pc.vcs:
-                if not (usable >> vc.index) & 1:
-                    continue  # faulted lane: not an alternative at all
-                if vc.occupant is None:
-                    free += 1
-                else:
-                    edges.append(
-                        WaitEdge(
-                            waiter=m,
-                            holder=vc.occupant,
-                            channel_index=pc.index,
-                            vc_index=vc.index,
-                        )
+        for vc in allowed_lanes(m, honor_faults):
+            if vc.occupant is None:
+                free += 1
+            else:
+                edges.append(
+                    WaitEdge(
+                        waiter=m,
+                        holder=vc.occupant,
+                        channel_index=vc.pc.index,
+                        vc_index=vc.index,
                     )
+                )
         graph.edges[m.id] = edges
         graph.free_alternatives[m.id] = free
     return graph

@@ -1,17 +1,19 @@
-"""Experiment-campaign engine: parallel, cached, resumable table runs.
+"""Experiment-campaign engine: parallel, cached table runs.
 
 The campaign package turns the embarrassingly parallel work of
 regenerating the paper's tables into scheduled *jobs*:
 
-* :mod:`repro.campaign.jobs` — grid enumeration, per-cell seed
-  derivation and content hashing of resolved configs;
+* :mod:`repro.campaign.jobs` — grid enumeration and content hashing of
+  resolved configs;
 * :mod:`repro.campaign.executor` — serial or process-pool execution
   with per-cell telemetry;
-* :mod:`repro.campaign.cache` — content-addressed on-disk result store;
-* :mod:`repro.campaign.checkpoint` — incremental manifest for resume
-  and the ``campaign summary`` report;
+* :mod:`repro.campaign.cache` — content-addressed on-disk result store,
+  the only one: re-running an interrupted campaign against the same
+  cache resumes it;
+* :mod:`repro.campaign.checkpoint` — telemetry manifest behind the
+  ``campaign summary`` report;
 * :mod:`repro.campaign.engine` — table-level orchestration
-  (``run_table_campaign`` / ``run_campaign``).
+  (``run_table_campaign``).
 """
 
 from repro.campaign.cache import ResultCache, default_cache_dir
@@ -21,11 +23,7 @@ from repro.campaign.checkpoint import (
     render_summary,
     summarize_manifest,
 )
-from repro.campaign.engine import (
-    assemble_table,
-    run_campaign,
-    run_table_campaign,
-)
+from repro.campaign.engine import assemble_table, run_table_campaign
 from repro.campaign.executor import (
     JobOutcome,
     default_num_workers,
@@ -36,7 +34,6 @@ from repro.campaign.jobs import (
     cell_from_dict,
     cell_to_dict,
     config_hash,
-    derive_cell_seed,
     enumerate_table_jobs,
     job_key,
 )
@@ -53,12 +50,10 @@ __all__ = [
     "config_hash",
     "default_cache_dir",
     "default_num_workers",
-    "derive_cell_seed",
     "enumerate_table_jobs",
     "execute_jobs",
     "job_key",
     "render_summary",
-    "run_campaign",
     "run_table_campaign",
     "summarize_manifest",
 ]

@@ -1,15 +1,15 @@
-"""Incremental campaign manifest: crash-safe progress + telemetry.
+"""Campaign manifest: a JSON-lines telemetry log.
 
-The manifest is JSON-lines: one ``campaign`` header per engine start and
-one ``cell`` record per finished simulation, flushed as soon as the cell
-completes.  Killing a campaign mid-run therefore loses at most the cells
-still in flight; re-running with resume enabled replays the manifest and
-only schedules cells whose config hash has no finished record.
-
-Each cell record also carries telemetry — wall-clock seconds, the worker
-that ran it, and whether it came from a live run, the cache, or a
-previous manifest — which :func:`summarize_manifest` turns into the
+One ``campaign`` header per table start and one ``cell`` record per
+resolved cell, flushed as soon as the cell finishes.  A cell record
+carries telemetry only — wall-clock seconds (0 for a cache hit), the
+worker that ran it, and whether it came from a live run or the cache —
+which :func:`summarize_manifest` turns into the
 ``repro-experiments campaign summary`` report.
+
+Results live in the :class:`~repro.campaign.cache.ResultCache` alone:
+an interrupted campaign resumes by re-running it against the same
+cache, which serves every cell that finished.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from typing import Any, Dict, List, Optional
 
 
 class CampaignCheckpoint:
-    """Append-only JSONL manifest of completed campaign cells.
+    """Append-only JSONL telemetry log of resolved campaign cells.
 
     Args:
         path: manifest file location (parent dirs created on demand).
-        fresh: truncate any existing manifest instead of extending it
-            (a plain re-run rather than a resume).
+        fresh: truncate any existing manifest instead of extending it.
     """
 
     def __init__(self, path: str, fresh: bool = False) -> None:
@@ -39,7 +38,7 @@ class CampaignCheckpoint:
     # Writing
     # ------------------------------------------------------------------
     def start(self, table_id: int, total: int) -> None:
-        """Record that a (new or resumed) table campaign began."""
+        """Record that a table campaign began."""
         self._append(
             {"kind": "campaign", "table_id": table_id, "total": total}
         )
@@ -48,17 +47,15 @@ class CampaignCheckpoint:
         self,
         key: str,
         config_hash: str,
-        cell: Dict[str, Any],
         wall_time: float,
         worker: str,
         source: str,
     ) -> None:
-        """Persist one finished cell (flushed immediately)."""
+        """Log one resolved cell (flushed immediately)."""
         self._append({
             "kind": "cell",
             "key": key,
             "config_hash": config_hash,
-            "cell": cell,
             "wall_time": wall_time,
             "worker": worker,
             "source": source,
@@ -89,12 +86,7 @@ class CampaignCheckpoint:
         return records
 
     def completed(self) -> Dict[str, Dict[str, Any]]:
-        """Finished cells by config hash (latest record wins).
-
-        Keyed by config hash rather than grid position, so a resumed
-        campaign re-runs any cell whose configuration changed (different
-        seed, grid, or saturation) instead of serving stale results.
-        """
+        """Cell records by config hash (latest record wins)."""
         done: Dict[str, Dict[str, Any]] = {}
         for record in self.records():
             if record.get("kind") == "cell" and "config_hash" in record:
@@ -127,8 +119,8 @@ class CampaignSummary:
 def summarize_manifest(path: str) -> CampaignSummary:
     """Fold a manifest into a :class:`CampaignSummary`.
 
-    Keys it does not read are ignored, such as the ``engine`` and
-    ``phase_time`` that older cell records carry.
+    Keys it does not read are ignored, such as the ``cell``, ``engine``
+    and ``phase_time`` that older cell records carry.
     """
     summary = CampaignSummary()
     for record in CampaignCheckpoint(path).records():

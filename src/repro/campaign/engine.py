@@ -1,18 +1,16 @@
 """High-level campaign engine: tables in, tables out.
 
-``run_table_campaign`` is the parallel/cached/resumable drop-in for the
-sequential ``run_table``: it enumerates the spec into jobs, resolves
-them through the executor, and reassembles the ``TableResult`` in
+``run_table_campaign`` is the one way a table is run: it enumerates
+the spec into jobs, resolves them through the executor (serial or
+pooled, cached or not), and reassembles the ``TableResult`` in
 canonical cell order — so the rendered table (and its JSON dump) is
-byte-identical to a sequential run of the same spec and seed.
-
-``run_campaign`` strings several tables into one campaign sharing a
-cache and a manifest, which is what ``repro-experiments all`` uses.
+byte-identical whichever way the cells were resolved.  Several tables
+form one campaign by sharing a cache and a manifest.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
@@ -30,21 +28,24 @@ def run_table_campaign(
     num_workers: int = 1,
     cache: Optional[ResultCache] = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
-    resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    seed_policy: str = "shared",
 ) -> TableResult:
     """Run one table as a campaign and reassemble its result grid.
 
-    With the defaults (serial, no cache, no checkpoint, shared seed)
-    this computes exactly what the sequential runner computes, cell for
-    cell; every keyword argument turns on one orthogonal engine feature.
+    Args:
+        spec: the table's grid definition.
+        base: base simulation config (topology, windows, seed); every
+            cell runs on ``base.seed``.
+        saturation: saturation rate override (flits/cycle/node); defaults
+            to the calibrated value for the spec's pattern.
+        num_workers: worker-process count (1 = serial in-process).
+        cache: optional result store; cells it holds are not re-run.
+        checkpoint: optional telemetry manifest.
+        progress: optional callable ``progress(done, total)``.
     """
     if saturation is None:
         saturation = saturation_rate(base, spec)
-    rates, jobs = enumerate_table_jobs(
-        spec, base, saturation, seed_policy=seed_policy
-    )
+    rates, jobs = enumerate_table_jobs(spec, base, saturation)
     if checkpoint is not None:
         checkpoint.start(spec.table_id, total=len(jobs))
     outcomes = execute_jobs(
@@ -52,7 +53,6 @@ def run_table_campaign(
         num_workers=num_workers,
         cache=cache,
         checkpoint=checkpoint,
-        resume=resume,
         progress=progress,
     )
     return assemble_table(spec, rates, outcomes)
@@ -75,43 +75,3 @@ def assemble_table(
         row = result.cells.setdefault(threshold, {})
         row[(load_index, size)] = outcomes[key].cell
     return result
-
-
-def run_campaign(
-    specs: Iterable[TableSpec],
-    base: SimulationConfig,
-    saturations: Optional[Dict[str, float]] = None,
-    num_workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint: Optional[CampaignCheckpoint] = None,
-    resume: bool = False,
-    progress_factory: Optional[
-        Callable[[TableSpec], Optional[ProgressFn]]
-    ] = None,
-) -> Dict[int, TableResult]:
-    """Run several tables as one campaign with shared cache/manifest.
-
-    Args:
-        specs: the table specs to run, in order.
-        base: base simulation config shared by every table.
-        saturations: optional pattern -> saturation-rate overrides.
-        progress_factory: optional ``factory(spec) -> progress`` hook so
-            callers can label per-table progress lines.
-    """
-    results: Dict[int, TableResult] = {}
-    for spec in specs:
-        saturation = None
-        if saturations and spec.pattern in saturations:
-            saturation = saturations[spec.pattern]
-        progress = progress_factory(spec) if progress_factory else None
-        results[spec.table_id] = run_table_campaign(
-            spec,
-            base,
-            saturation=saturation,
-            num_workers=num_workers,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-            progress=progress,
-        )
-    return results

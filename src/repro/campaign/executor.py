@@ -1,16 +1,19 @@
 """Parallel execution of campaign jobs.
 
 ``execute_jobs`` resolves every :class:`~repro.campaign.jobs.CellJob`
-through three layers, cheapest first:
+through two layers, cheapest first:
 
-1. **resume** — a finished record in the campaign manifest
-   (:class:`~repro.campaign.checkpoint.CampaignCheckpoint`) with a
-   matching config hash;
-2. **cache** — the content-addressed on-disk store
-   (:class:`~repro.campaign.cache.ResultCache`);
-3. **run** — a live simulation, either in-process (``num_workers=1``,
+1. **cache** — the content-addressed on-disk store
+   (:class:`~repro.campaign.cache.ResultCache`), the campaign's only
+   result store: an interrupted campaign resumes by re-running it
+   against the same cache;
+2. **run** — a live simulation, either in-process (``num_workers=1``,
    the deterministic serial fallback used by tests) or fanned out over a
    ``ProcessPoolExecutor``.  Every cache-miss cell is one simulation.
+
+Each resolved cell is recorded in the optional manifest
+(:class:`~repro.campaign.checkpoint.CampaignCheckpoint`), which holds
+telemetry only.
 
 Cells run out of order under the pool, but results are keyed, so callers
 reassemble tables in canonical order and the output is bit-identical to
@@ -48,9 +51,9 @@ class JobOutcome:
     cell: CellResult
     #: Wall-clock seconds the simulation took (0 when served from disk).
     wall_time: float
-    #: ``"serial"``, ``"pid<n>"``, ``"cache"`` or ``"manifest"``.
+    #: ``"serial"``, ``"pid<n>"`` or ``"cache"``.
     worker: str
-    #: ``"run"``, ``"cache"`` or ``"resume"``.
+    #: ``"run"`` or ``"cache"``.
     source: str
 
 
@@ -81,7 +84,6 @@ def execute_jobs(
     num_workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
-    resume: bool = False,
     progress: Optional[ProgressFn] = None,
 ) -> Dict[str, JobOutcome]:
     """Resolve every job to a :class:`JobOutcome`, keyed by job key.
@@ -91,10 +93,8 @@ def execute_jobs(
         num_workers: process-pool width; ``None`` means one per CPU,
             ``1`` runs serially in-process.
         cache: optional on-disk result store consulted before running.
-        checkpoint: optional manifest; every newly resolved cell is
-            recorded immediately (crash-safe).
-        resume: consult the manifest's finished records before
-            scheduling work (requires ``checkpoint``).
+        checkpoint: optional telemetry manifest; every resolved cell is
+            recorded as soon as it finishes.
         progress: optional ``progress(done, total)`` callback.
     """
     if num_workers is None:
@@ -104,30 +104,23 @@ def execute_jobs(
     total = len(jobs)
     done = 0
     outcomes: Dict[str, JobOutcome] = {}
-    completed = checkpoint.completed() if (resume and checkpoint) else {}
 
     def tick() -> None:
         if progress is not None:
             progress(done, total)
 
-    def finish(outcome: JobOutcome, record: bool = True) -> None:
+    def finish(outcome: JobOutcome) -> None:
         nonlocal done
         outcomes[outcome.job.key] = outcome
         if outcome.source == "run" and cache is not None:
             cache.put(
                 outcome.job.config_hash,
-                {
-                    "key": outcome.job.key,
-                    "cell": cell_to_dict(outcome.cell),
-                    "wall_time": outcome.wall_time,
-                    "worker": outcome.worker,
-                },
+                {"key": outcome.job.key, "cell": cell_to_dict(outcome.cell)},
             )
-        if record and checkpoint is not None:
+        if checkpoint is not None:
             checkpoint.record_cell(
                 key=outcome.job.key,
                 config_hash=outcome.job.config_hash,
-                cell=cell_to_dict(outcome.cell),
                 wall_time=outcome.wall_time,
                 worker=outcome.worker,
                 source=outcome.source,
@@ -135,32 +128,21 @@ def execute_jobs(
         done += 1
         tick()
 
-    # Layer 1 + 2: serve what the manifest and the cache already know.
-    # Stored entries are validated, not trusted: a torn or wrong-shape
-    # record (killed writer, hand-edited file) downgrades to the next
-    # layer with a warning instead of poisoning the whole campaign.
+    # Layer 1: serve what the cache already knows.  Stored entries are
+    # validated, not trusted: a torn or wrong-shape entry (killed writer,
+    # hand-edited file) downgrades to a re-run with a warning instead of
+    # poisoning the whole campaign.
     pending: List[CellJob] = []
     for job in jobs:
-        record = completed.get(job.config_hash)
-        if record is not None:
-            outcome = _outcome_from_stored(
-                job, record, worker="manifest", source="resume"
-            )
-            if outcome is not None:
-                # Already in the manifest; re-recording would double-count.
-                finish(outcome, record=False)
-                continue
         payload = cache.get(job.config_hash) if cache is not None else None
         if payload is not None:
-            outcome = _outcome_from_stored(
-                job, payload, worker="cache", source="cache"
-            )
+            outcome = _outcome_from_stored(job, payload)
             if outcome is not None:
                 finish(outcome)
                 continue
         pending.append(job)
 
-    # Layer 3: simulate the rest, one run per cell.
+    # Layer 2: simulate the rest, one run per cell.
     if num_workers == 1:
         for job in pending:
             result = _execute_payload(job.payload())
@@ -171,30 +153,26 @@ def execute_jobs(
 
 
 def _outcome_from_stored(
-    job: CellJob, payload: Dict[str, Any], worker: str, source: str
+    job: CellJob, payload: Dict[str, Any]
 ) -> Optional[JobOutcome]:
-    """Rebuild a stored (manifest/cache) entry, or ``None`` if malformed.
+    """Rebuild a cache entry, or ``None`` if malformed.
 
-    Extra keys (the ``engine`` and ``phase_time`` of older entries) are
-    ignored.
+    Only ``cell`` is read.  The ``wall_time``, ``worker``, ``engine`` and
+    ``phase_time`` keys of older entries are ignored: a hit costs no
+    simulation, so its wall time is 0.
     """
     try:
         cell = cell_from_dict(payload["cell"])
-        wall_time = float(payload.get("wall_time", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         warnings.warn(
-            f"ignoring malformed {source} entry for {job.key} "
-            f"({type(exc).__name__}: {exc}); the cell will be re-resolved",
+            f"ignoring malformed cache entry for {job.key} "
+            f"({type(exc).__name__}: {exc}); the cell will be re-run",
             RuntimeWarning,
             stacklevel=2,
         )
         return None
     return JobOutcome(
-        job=job,
-        cell=cell,
-        wall_time=wall_time,
-        worker=worker,
-        source=source,
+        job=job, cell=cell, wall_time=0.0, worker="cache", source="cache"
     )
 
 

@@ -4,11 +4,11 @@ A *campaign* is a bag of independent simulations.  Each one is described
 by a self-contained :class:`CellJob`: the fully resolved
 :class:`~repro.network.config.SimulationConfig`, the table coordinates it
 fills, and a stable content hash of the config that keys the on-disk
-result cache and the resume manifest.  Because the hash covers every
-field that influences the simulation (topology, workload, detector,
-seed, windows), two jobs with equal hashes are guaranteed to produce the
-same :class:`~repro.experiments.runner.CellResult` — which is what makes
-caching and resumption safe.
+result cache.  Because the hash covers every field that influences the
+simulation (topology, workload, detector, seed, windows), two jobs with
+equal hashes are guaranteed to produce the same
+:class:`~repro.experiments.runner.CellResult` — which is what makes
+serving a cell from the cache safe.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from typing import Any, Dict, List, Tuple
 from repro.experiments.runner import CellResult, build_cell_config
 from repro.experiments.spec import TableSpec
 from repro.network.config import SimulationConfig
-
-#: Per-cell seed derivation policies (see :func:`enumerate_table_jobs`).
-SEED_POLICIES = ("shared", "per-cell")
 
 
 def canonical_config_json(config: SimulationConfig) -> str:
@@ -43,20 +40,6 @@ def config_hash(config: SimulationConfig) -> str:
     """
     text = canonical_config_json(config)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def derive_cell_seed(
-    base_seed: int, table_id: int, threshold: int, load_index: int, size: str
-) -> int:
-    """Deterministic per-cell seed, decorrelated across the grid.
-
-    Uses SHA-256 over the cell coordinates (not :func:`hash`, which is
-    process-randomized), so the same cell always gets the same seed on
-    any machine or worker process.
-    """
-    material = f"{base_seed}|{table_id}|{threshold}|{load_index}|{size}"
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def job_key(table_id: int, threshold: int, load_index: int, size: str) -> str:
@@ -78,7 +61,7 @@ class CellJob:
     rate: float
     #: Fully resolved simulation config for this cell.
     config: SimulationConfig
-    #: Content hash of ``config`` (cache / manifest key).
+    #: Content hash of ``config`` (the cache key).
     config_hash: str
 
     def payload(self) -> Dict[str, Any]:
@@ -94,32 +77,20 @@ def enumerate_table_jobs(
     spec: TableSpec,
     base: SimulationConfig,
     saturation: float,
-    seed_policy: str = "shared",
 ) -> Tuple[Tuple[float, ...], List[CellJob]]:
     """Expand one table spec into its (rates, jobs) in canonical order.
 
     Args:
         spec: the table's grid definition.
-        base: base simulation config (topology, windows, seed).
+        base: base simulation config (topology, windows, seed); every
+            cell runs on ``base.seed``.
         saturation: saturation rate (flits/cycle/node) scaling the loads.
-        seed_policy: ``"shared"`` runs every cell on ``base.seed`` —
-            bit-identical to the sequential runner; ``"per-cell"``
-            derives a decorrelated seed per cell via
-            :func:`derive_cell_seed` (useful for variance studies).
     """
-    if seed_policy not in SEED_POLICIES:
-        raise ValueError(
-            f"unknown seed policy {seed_policy!r}; choose one of {SEED_POLICIES}"
-        )
     rates = tuple(round(f * saturation, 4) for f in spec.load_fractions)
     jobs: List[CellJob] = []
     for threshold, load_index, size in spec.cell_coords():
         rate = rates[load_index]
         config = build_cell_config(base, spec, threshold, size, rate)
-        if seed_policy == "per-cell":
-            config.seed = derive_cell_seed(
-                base.seed, spec.table_id, threshold, load_index, size
-            )
         jobs.append(
             CellJob(
                 key=job_key(spec.table_id, threshold, load_index, size),
@@ -136,7 +107,7 @@ def enumerate_table_jobs(
 
 
 # ----------------------------------------------------------------------
-# CellResult serialization (cache / manifest payloads)
+# CellResult serialization (cache payloads)
 # ----------------------------------------------------------------------
 
 def cell_to_dict(cell: CellResult) -> Dict[str, Any]:

@@ -18,7 +18,7 @@ from repro.experiments.report import (
     render_table,
     table_to_json,
 )
-from repro.experiments.runner import CellResult, TableResult, run_cell, run_table
+from repro.experiments.runner import CellResult, TableResult, run_cell
 from repro.experiments.spec import TABLE_SPECS, TableSpec, base_config
 from repro.experiments.tables import (
     regenerate_all,
@@ -47,7 +47,6 @@ __all__ = [
     "render_latency_table",
     "render_table",
     "run_cell",
-    "run_table",
     "save_result",
     "sweep_load",
     "table_spec",

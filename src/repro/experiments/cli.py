@@ -17,6 +17,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Iterable
 
 from repro.analysis.saturation import find_saturation
 from repro.campaign import (
@@ -28,6 +29,7 @@ from repro.campaign import (
     summarize_manifest,
 )
 from repro.experiments.report import render_comparison, render_table
+from repro.experiments.runner import TableResult
 from repro.experiments.spec import TABLE_SPECS, base_config
 from repro.experiments.tables import (
     default_out_dir,
@@ -75,21 +77,6 @@ def _progress_printer(prefix: str) -> _ProgressPrinter:
     return _ProgressPrinter(prefix)
 
 
-def _campaign_options(args: argparse.Namespace):
-    """Resolve (jobs, cache, checkpoint, resume) from campaign flags."""
-    jobs = args.jobs if args.jobs is not None else default_num_workers()
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.resume:
-        cache_dir = default_cache_dir()
-    cache = checkpoint = None
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir)
-        checkpoint = CampaignCheckpoint(
-            Path(cache_dir) / MANIFEST_NAME, fresh=not args.resume
-        )
-    return jobs, cache, checkpoint, args.resume
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -104,13 +91,9 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="reuse finished cells from this result cache "
-             f"(default cache location: {default_cache_dir()})",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from its manifest "
-             "(implies --cache-dir's default when none is given)",
+        help="reuse finished cells from this result cache; re-running an "
+             "interrupted command with the same DIR resumes it "
+             f"(e.g. {default_cache_dir()})",
     )
 
 
@@ -120,35 +103,25 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
-    progress = _progress_printer(f"table {args.table_id}")
-    try:
-        result = regenerate_table(
-            args.table_id,
-            full=args.full or None,
-            seed=args.seed,
-            progress=progress,
-            jobs=jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
+def _regenerate(
+    args: argparse.Namespace,
+    table_ids: Iterable[int],
+    show: Callable[[TableResult], None],
+) -> None:
+    """Run each table with the campaign flags and ``show`` its result.
+
+    With ``--cache-dir`` every table shares one cache and one manifest.
+    The manifest is a telemetry log of this command only, so it is
+    opened fresh; cells finished by an earlier run come from the cache.
+    """
+    jobs = args.jobs if args.jobs is not None else default_num_workers()
+    cache = checkpoint = None
+    if args.cache_dir is not None:
+        cache = ResultCache(args.cache_dir)
+        checkpoint = CampaignCheckpoint(
+            Path(args.cache_dir) / MANIFEST_NAME, fresh=True
         )
-    finally:
-        progress.close()
-    print(render_table(result))
-    if cache is not None:
-        print(f"\ncache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.root})", file=sys.stderr)
-    if args.out:
-        path = save_result(result, args.out)
-        print(f"\nwritten to {path}")
-    return 0
-
-
-def cmd_all(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
-    for tid in sorted(TABLE_SPECS):
+    for tid in table_ids:
         progress = _progress_printer(f"table {tid}")
         try:
             result = regenerate_table(
@@ -159,37 +132,40 @@ def cmd_all(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 cache=cache,
                 checkpoint=checkpoint,
-                resume=resume,
             )
         finally:
             progress.close()
+        show(result)
+    if cache is not None:
+        print(f"cache: {cache.hits} hits, {cache.misses} misses "
+              f"({cache.root})", file=sys.stderr)
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    def show(result: TableResult) -> None:
+        print(render_table(result))
+        if args.out:
+            path = save_result(result, args.out)
+            print(f"\nwritten to {path}")
+
+    _regenerate(args, [args.table_id], show)
+    return 0
+
+
+def cmd_all(args: argparse.Namespace) -> int:
+    def show(result: TableResult) -> None:
         print(render_table(result))
         print()
         if args.out:
             save_result(result, args.out)
-    if cache is not None:
-        print(f"cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.root})", file=sys.stderr)
+
+    _regenerate(args, sorted(TABLE_SPECS), show)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
-    progress = _progress_printer(f"table {args.table_id}")
-    try:
-        result = regenerate_table(
-            args.table_id,
-            full=args.full or None,
-            seed=args.seed,
-            progress=progress,
-            jobs=jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-    finally:
-        progress.close()
-    print(render_comparison(result))
+    _regenerate(args, [args.table_id],
+                lambda result: print(render_comparison(result)))
     return 0
 
 

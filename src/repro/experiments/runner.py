@@ -128,48 +128,3 @@ def saturation_rate(
     probe.detector.mechanism = "none"
     probe.ground_truth_interval = 0
     return find_saturation(probe).saturation_rate
-
-
-def run_table(
-    spec: TableSpec,
-    base: SimulationConfig,
-    saturation: Optional[float] = None,
-    progress=None,
-    *,
-    jobs: int = 1,
-    cache=None,
-    checkpoint=None,
-    resume: bool = False,
-) -> TableResult:
-    """Regenerate one full table (delegates to the campaign engine).
-
-    The default keyword arguments run every cell serially in-process —
-    the historical sequential behaviour.  ``jobs > 1`` fans the cells
-    out over a process pool; ``cache``/``checkpoint``/``resume`` plug in
-    the campaign engine's result store and manifest (see
-    :mod:`repro.campaign`).  All paths produce bit-identical tables.
-
-    Args:
-        spec: the table's grid definition.
-        base: base simulation config (topology, windows, seed).
-        saturation: saturation rate override (flits/cycle/node); defaults
-            to the calibrated value for the spec's pattern.
-        progress: optional callable ``progress(done, total)``.
-        jobs: worker-process count (1 = serial in-process).
-        cache: optional :class:`repro.campaign.ResultCache`.
-        checkpoint: optional :class:`repro.campaign.CampaignCheckpoint`.
-        resume: reuse finished cells from the checkpoint manifest.
-    """
-    # Imported here: the campaign package depends on this module.
-    from repro.campaign.engine import run_table_campaign
-
-    return run_table_campaign(
-        spec,
-        base,
-        saturation=saturation,
-        num_workers=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
-    )

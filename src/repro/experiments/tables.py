@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional
 
 from repro.experiments.report import render_table, table_to_json
-from repro.experiments.runner import TableResult, run_table
+from repro.experiments.runner import TableResult
 from repro.experiments.spec import (
     TABLE_SPECS,
     TableSpec,
@@ -43,26 +43,29 @@ def regenerate_table(
     jobs: int = 1,
     cache=None,
     checkpoint=None,
-    resume: bool = False,
 ) -> TableResult:
     """Run every cell of one paper table and return the result grid.
 
-    ``jobs``/``cache``/``checkpoint``/``resume`` are forwarded to the
-    campaign engine (see :func:`repro.experiments.runner.run_table`);
-    the defaults reproduce the sequential single-process behaviour.
+    ``jobs``/``cache``/``checkpoint`` are forwarded to the campaign
+    engine (see :func:`repro.campaign.engine.run_table_campaign`); the
+    defaults run every cell serially in-process.  Re-running against the
+    same ``cache`` serves every finished cell from it, which is how an
+    interrupted table resumes.
     """
+    # Imported here: the campaign package depends on the runner module.
+    from repro.campaign.engine import run_table_campaign
+
     spec = table_spec(table_id, full)
     base = base_config(full)
     base.seed = seed
-    return run_table(
+    return run_table_campaign(
         spec,
         base,
         saturation=saturation,
-        progress=progress,
-        jobs=jobs,
+        num_workers=jobs,
         cache=cache,
         checkpoint=checkpoint,
-        resume=resume,
+        progress=progress,
     )
 
 
@@ -74,7 +77,6 @@ def regenerate_all(
     jobs: int = 1,
     cache=None,
     checkpoint=None,
-    resume: bool = False,
 ) -> Dict[int, TableResult]:
     """Regenerate several tables (the paper's seven by default).
 
@@ -92,7 +94,6 @@ def regenerate_all(
             jobs=jobs,
             cache=cache,
             checkpoint=checkpoint,
-            resume=resume,
         )
         for tid in table_ids
     }

@@ -64,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.deadlock import find_deadlocked
+from repro.analysis.deadlock import allowed_lanes, find_deadlocked
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.metrics.stats import SimulationStats
@@ -1222,21 +1222,11 @@ class Simulator:
                 )
             # usable_mask is all-ones on healthy channels, so the filter
             # is exact for both fault and no-fault runs.
-            if m.feasible_vcs is not None:
-                free = [
-                    vc
-                    for vc in m.feasible_vcs
-                    if vc.occupant is None
-                    and (vc.pc.usable_mask >> vc.index) & 1
-                ]
-            else:
-                free = [
-                    vc
-                    for pc in m.feasible_pcs
-                    for vc in pc.vcs
-                    if vc.occupant is None
-                    and (pc.usable_mask >> vc.index) & 1
-                ]
+            free = [
+                vc
+                for vc in allowed_lanes(m, honor_faults=True)
+                if vc.occupant is None
+            ]
             if free:
                 raise AssertionError(
                     f"message {m.id}: route_asleep with free allowed VC {free[0]}"

@@ -4,12 +4,16 @@ import sys
 
 import pytest
 
+from repro.analysis.deadlock import waiting_chain
 from repro.analysis.waitgraph import (
     build_wait_graph,
     describe_deadlock,
     tree_depth_histogram,
 )
 from repro.figures.scenarios import build_figure2, build_figure3
+from repro.network.config import SimulationConfig
+from repro.network.probes import wait_edges
+from repro.network.simulator import Simulator
 
 
 class TestBuildWaitGraph:
@@ -119,3 +123,50 @@ class TestDiagnostics:
         graph = build_wait_graph(scenario.sim.active_messages)
         histogram = tree_depth_histogram(graph)
         assert histogram == {3: 4}  # each member sees the 3 others
+
+
+class TestVirtualChannelClasses:
+    """Under Duato routing a blocked header may use only some lanes of a
+    feasible channel (``Message.feasible_vcs``); the graph must walk
+    exactly those, as the probe transport and the oracle do."""
+
+    @staticmethod
+    def duato_samples():
+        config = SimulationConfig(
+            radix=4,
+            dimensions=2,
+            warmup_cycles=0,
+            measure_cycles=10,
+            seed=3,
+            ground_truth_interval=0,
+        )
+        config.routing = "duato-adaptive"
+        config.traffic.injection_rate = 0.9
+        config.traffic.lengths = "l"
+        config.detector.mechanism = "none"
+        config.recovery = "none"
+        sim = Simulator(config)
+        for cycle in range(1, 1501):
+            sim.step()
+            if cycle % 50 == 0:
+                yield build_wait_graph(sim.active_messages)
+
+    def test_matches_probe_wait_edges(self):
+        samples = restricted = 0
+        for graph in self.duato_samples():
+            for message_id, m in graph.messages.items():
+                samples += 1
+                restricted += m.feasible_vcs is not None
+                escape, edges = wait_edges(m)
+                assert (graph.free_alternatives[message_id] > 0) == escape
+                if escape:
+                    continue
+                assert [
+                    (e.channel_index, e.vc_index, e.holder)
+                    for e in graph.edges[message_id]
+                ] == edges
+                holder = edges[0][2] if edges else None
+                chain = waiting_chain(m, limit=1)
+                assert chain[1:] == ([] if holder is None else [holder])
+        assert samples > 100
+        assert restricted > 0  # the lane classes were in play

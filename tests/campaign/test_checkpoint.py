@@ -17,7 +17,6 @@ def record(ck, key="table2/th8/load0/s", config_hash=HASH_A, wall=0.5,
     ck.record_cell(
         key=key,
         config_hash=config_hash,
-        cell={"percentage": 1.0},
         wall_time=wall,
         worker=worker,
         source=source,

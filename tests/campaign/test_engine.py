@@ -1,12 +1,11 @@
 """Tests for the table-level campaign engine (reassembly + orchestration)."""
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import (
     CampaignCheckpoint,
     render_summary,
     summarize_manifest,
 )
-from repro.campaign.engine import run_campaign, run_table_campaign
+from repro.campaign.engine import run_table_campaign
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import run_cell
 from tests.campaign.conftest import tiny_base, tiny_spec
@@ -35,18 +34,6 @@ class TestRunTableCampaign:
         for row in result.cells.values():
             assert list(row) == [(0, "s"), (1, "s")]
 
-    def test_per_cell_seed_policy_changes_results(self):
-        spec, base = tiny_spec(), tiny_base()
-        base.traffic.injection_rate = 0.5
-        shared = run_table_campaign(spec, base, saturation=1.0)
-        derived = run_table_campaign(spec, base, saturation=1.0,
-                                     seed_policy="per-cell")
-        diff = [
-            coords for coords in spec.cell_coords()
-            if shared.cell(*_rearrange(coords)) != derived.cell(*_rearrange(coords))
-        ]
-        assert diff  # decorrelated seeds change at least some cells
-
     def test_checkpoint_records_campaign(self, tmp_path):
         ck = CampaignCheckpoint(tmp_path / "m.jsonl")
         spec = tiny_spec()
@@ -57,38 +44,9 @@ class TestRunTableCampaign:
         cells = [r for r in ck.records() if r["kind"] == "cell"]
         assert len(cells) == spec.cell_count()
         for cell in cells:
-            assert "engine" not in cell
-            assert "phase_time" not in cell
+            assert set(cell) == {
+                "kind", "key", "config_hash", "wall_time", "worker", "source"
+            }
         text = render_summary(summary)
         assert "phase wall time" not in text
         assert "cells by engine" not in text
-
-
-def _rearrange(coords):
-    threshold, load_index, size = coords
-    return threshold, load_index, size
-
-
-class TestRunCampaign:
-    def test_multiple_tables_share_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        specs = [tiny_spec(table_id=2), tiny_spec(table_id=3)]
-        results = run_campaign(specs, tiny_base(),
-                               saturations={"uniform": 1.0}, cache=cache)
-        assert set(results) == {2, 3}
-        # identical grids -> table 3 was served entirely from table 2's cells
-        assert cache.hits == specs[1].cell_count()
-        assert render_table(results[2]).splitlines()[2:] == \
-            render_table(results[3]).splitlines()[2:]
-
-    def test_progress_factory_labels_tables(self):
-        seen = {}
-
-        def factory(spec):
-            def progress(done, total):
-                seen.setdefault(spec.table_id, []).append((done, total))
-            return progress
-
-        run_campaign([tiny_spec(table_id=2)], tiny_base(),
-                     saturations={"uniform": 1.0}, progress_factory=factory)
-        assert seen[2][-1] == (4, 4)

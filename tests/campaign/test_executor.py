@@ -1,11 +1,13 @@
-"""Tests for the campaign executor: serial/pool determinism, cache, resume."""
+"""Tests for the campaign executor: serial/pool determinism, cache, manifest."""
 
 import pytest
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
+from repro.campaign.engine import run_table_campaign
 from repro.campaign.executor import execute_jobs
-from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
+from repro.campaign.jobs import enumerate_table_jobs
+from repro.experiments.report import table_to_json
 from repro.experiments.runner import run_cell
 from tests.campaign.conftest import tiny_base, tiny_spec
 
@@ -72,12 +74,12 @@ class TestCacheIntegration:
         warm = ResultCache(tmp_path)
         first = execute_jobs(jobs, num_workers=1, cache=warm)
         assert warm.size() == len(jobs)
-        # An entry written before the per-cell engine/phase telemetry was
-        # dropped still carries both keys; it must be served all the same.
+        assert set(warm.get(jobs[0].config_hash)) == {"key", "cell"}
+        # An entry written by an older version carries telemetry keys
+        # next to the cell; it must be served all the same.
         legacy = warm.get(jobs[0].config_hash)
-        assert "engine" not in legacy and "phase_time" not in legacy
-        legacy["engine"] = "event"
-        legacy["phase_time"] = {"checks": 0.0, "routing": 0.0}
+        legacy.update(wall_time=1.5, worker="pid7", engine="event",
+                      phase_time={"checks": 0.0, "routing": 0.0})
         warm.put(jobs[0].config_hash, legacy)
 
         cold = ResultCache(tmp_path)
@@ -87,6 +89,8 @@ class TestCacheIntegration:
         for key in first:
             assert second[key].cell == first[key].cell
             assert second[key].source == "cache"
+            assert second[key].worker == "cache"
+            assert second[key].wall_time == 0.0
 
     def test_overlapping_sweeps_share_cells(self, tmp_path):
         """A different table with the same resolved configs hits the cache
@@ -109,78 +113,58 @@ class TestCacheIntegration:
         assert sources == ["cache"] * len(jobs)
 
 
-class TestResume:
-    def test_finished_cells_not_rerun(self, tmp_path):
+    def test_warm_summary_counts_no_wall_time(self, tmp_path):
+        """A hit costs no simulation: the summary of a warm campaign
+        reports every cell from the cache and zero simulated time."""
         jobs = tiny_jobs()
-        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
-        # Simulate an interrupted campaign: only the first cell finished.
-        first = execute_jobs(jobs[:1], num_workers=1, checkpoint=ck)
+        cache = ResultCache(tmp_path / "cache")
+        execute_jobs(jobs, num_workers=1, cache=cache,
+                     checkpoint=CampaignCheckpoint(tmp_path / "cold.jsonl"))
+        assert summarize_manifest(tmp_path / "cold.jsonl").wall_time_total > 0
+        execute_jobs(jobs, num_workers=1, cache=cache,
+                     checkpoint=CampaignCheckpoint(tmp_path / "warm.jsonl"))
+        warm = summarize_manifest(tmp_path / "warm.jsonl")
+        assert warm.by_source == {"cache": len(jobs)}
+        assert warm.wall_time_total == 0
 
-        executed = []
+    def test_interrupted_campaign_reruns_only_unfinished_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """Re-running an interrupted campaign against the same cache
+        resumes it: finished cells are served, the table is unchanged."""
         import repro.campaign.executor as executor_module
+
+        spec, base = tiny_spec(), tiny_base()
+        keys = [job.key for job in tiny_jobs(spec, base)]
+        reference = table_to_json(
+            run_table_campaign(spec, base, saturation=1.0)
+        )
         original = executor_module._execute_payload
+        executed = []
+        allowed = [1]  # cells that may run before the simulated Ctrl-C
 
         def spy(payload):
+            if len(executed) == allowed[0]:
+                raise KeyboardInterrupt
             executed.append(payload["key"])
             return original(payload)
 
-        executor_module._execute_payload = spy
-        try:
-            resumed = execute_jobs(jobs, num_workers=1, checkpoint=ck,
-                                   resume=True)
-        finally:
-            executor_module._execute_payload = original
+        monkeypatch.setattr(executor_module, "_execute_payload", spy)
+        with pytest.raises(KeyboardInterrupt):
+            run_table_campaign(spec, base, saturation=1.0,
+                               cache=ResultCache(tmp_path))
+        assert executed == keys[:1]
 
-        assert executed == [j.key for j in jobs[1:]]
-        assert resumed[jobs[0].key].source == "resume"
-        assert resumed[jobs[0].key].cell == first[jobs[0].key].cell
-
-    def test_stale_manifest_entries_rerun(self, tmp_path):
-        """A manifest record whose config hash no longer matches (e.g.
-        different seed) must not be reused."""
-        jobs = tiny_jobs()
-        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
-        ck.record_cell(
-            key=jobs[0].key,
-            config_hash="f" * 64,  # some other configuration
-            cell=cell_to_dict(
-                execute_jobs(jobs[:1], num_workers=1)[jobs[0].key].cell
-            ),
-            wall_time=0.1,
-            worker="serial",
-            source="run",
-        )
-        outcomes = execute_jobs(jobs, num_workers=1, checkpoint=ck,
-                                resume=True)
-        assert all(o.source == "run" for o in outcomes.values())
-
-    def test_resume_without_flag_ignores_manifest(self, tmp_path):
-        jobs = tiny_jobs()
-        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
-        execute_jobs(jobs, num_workers=1, checkpoint=ck)
-        outcomes = execute_jobs(jobs, num_workers=1, checkpoint=ck)
-        assert all(o.source == "run" for o in outcomes.values())
+        executed.clear()
+        allowed[0] = len(keys)
+        resumed = run_table_campaign(spec, base, saturation=1.0,
+                                     cache=ResultCache(tmp_path))
+        assert executed == keys[1:]
+        assert table_to_json(resumed) == reference
 
 
 class TestStoredEntryValidation:
-    """Torn or hand-edited stored entries downgrade to a re-run."""
-
-    def test_malformed_manifest_entry_reruns(self, tmp_path):
-        jobs = tiny_jobs()
-        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
-        ck.record_cell(
-            key=jobs[0].key,
-            config_hash=jobs[0].config_hash,
-            cell={"percentage": "not-a-number"},  # wrong shape
-            wall_time=0.1,
-            worker="serial",
-            source="run",
-        )
-        with pytest.warns(RuntimeWarning, match="malformed resume entry"):
-            outcomes = execute_jobs(
-                jobs[:1], num_workers=1, checkpoint=ck, resume=True
-            )
-        assert outcomes[jobs[0].key].source == "run"
+    """Torn or hand-edited cache entries downgrade to a re-run."""
 
     def test_malformed_cache_entry_reruns(self, tmp_path):
         jobs = tiny_jobs()

@@ -170,9 +170,8 @@ class TestCampaignFlags:
 
         monkeypatch.setattr(cli, "regenerate_table", spy)
         assert cli.main(["table", "2", "--jobs", "3",
-                         "--cache-dir", str(tmp_path), "--resume"]) == 0
+                         "--cache-dir", str(tmp_path)]) == 0
         assert seen["jobs"] == 3
-        assert seen["resume"] is True
         assert str(seen["cache"].root) == str(tmp_path)
         assert seen["checkpoint"].path == tmp_path / cli.MANIFEST_NAME
 
@@ -189,19 +188,6 @@ class TestCampaignFlags:
         assert seen["jobs"] == (os.cpu_count() or 1)
         assert seen["cache"] is None
         assert seen["checkpoint"] is None
-
-    def test_resume_without_cache_dir_uses_default(self, monkeypatch,
-                                                   tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dflt"))
-        seen = {}
-
-        def spy(table_id, full=None, seed=7, progress=None, **kwargs):
-            seen.update(kwargs)
-            return fake_result(table_id)
-
-        monkeypatch.setattr(cli, "regenerate_table", spy)
-        assert cli.main(["table", "2", "--resume"]) == 0
-        assert str(seen["cache"].root) == str(tmp_path / "dflt")
 
     def test_fresh_run_truncates_manifest(self, monkeypatch, tmp_path):
         manifest = tmp_path / cli.MANIFEST_NAME
@@ -230,8 +216,7 @@ class TestCampaignCommand:
         ck = CampaignCheckpoint(tmp_path / cli.MANIFEST_NAME)
         ck.start(table_id=2, total=1)
         ck.record_cell(key="table2/th8/load0/s", config_hash="a" * 64,
-                       cell={"percentage": 0.0}, wall_time=0.5,
-                       worker="serial", source="run")
+                       wall_time=0.5, worker="serial", source="run")
         assert cli.main(["campaign", "summary",
                          "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.campaign.engine import run_table_campaign
 from repro.experiments.runner import (
     CellResult,
     build_cell_config,
     run_cell,
-    run_table,
     saturation_rate,
 )
 from repro.experiments.spec import TABLE_SPECS, TableSpec, base_config
@@ -78,18 +78,18 @@ class TestRunCell:
 
 class TestRunTable:
     def test_grid_complete(self):
-        result = run_table(tiny_spec(), tiny_base(), saturation=1.0)
+        result = run_table_campaign(tiny_spec(), tiny_base(), saturation=1.0)
         assert set(result.cells) == {8, 32}
         for row in result.cells.values():
             assert set(row) == {(0, "s")}
 
     def test_rates_scaled_by_saturation(self):
-        result = run_table(tiny_spec(), tiny_base(), saturation=1.0)
+        result = run_table_campaign(tiny_spec(), tiny_base(), saturation=1.0)
         assert result.rates == (0.5,)
 
     def test_progress_callback(self):
         seen = []
-        run_table(
+        run_table_campaign(
             tiny_spec(), tiny_base(), saturation=1.0,
             progress=lambda done, total: seen.append((done, total)),
         )

@@ -46,6 +46,13 @@ class TestFastExamples:
         assert "knot" in out
         assert "Detections: ['B']" in out
 
+    def test_campaign_sweep(self):
+        out = run_example("campaign_sweep.py")
+        assert "second run served 6/6 cells from the cache" in out
+        assert "re-run served 2 cells from the cache and simulated 4" in out
+        assert "cells by source       : cache=2, run=4" in out
+        assert "all five runs produced this table byte-identically" in out
+
     def test_examples_all_have_docstrings_and_main(self):
         for script in EXAMPLES.glob("*.py"):
             text = script.read_text()
